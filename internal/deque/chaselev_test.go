@@ -274,3 +274,107 @@ func TestStealResultAndExposeModeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestChaseLevClearsDeadSlots pins that the deque does not keep dead
+// tasks reachable: indices are absolute and steals walk the live window
+// around the ring, so a deque that never cleared a popped or stolen slot
+// would end up pinning a dead task in every slot. One goroutine plays owner and thief, keeping the
+// deque non-empty while top wraps the ring more than once, then drains
+// it — through the owner's last-element pop or through steals followed
+// by the owner's empty pop — and checks that no slot outside [top, bot)
+// still points at a task. Along the way every pop and steal is checked
+// against a sequential model, so a clear that hit a live slot shows up
+// as a wrong or nil task.
+func TestChaseLevClearsDeadSlots(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		mk   func() *ChaseLev[int]
+	}{
+		{"stock", func() *ChaseLev[int] { return NewChaseLev[int](16) }},
+		{"batch", func() *ChaseLev[int] { return NewChaseLevBatch[int](16) }},
+	} {
+		for _, drain := range []string{"owner-pop", "stolen"} {
+			t.Run(mode.name+"/"+drain, func(t *testing.T) {
+				d := mode.mk()
+				c := newCtr()
+				var model []int // model[0] is the top task
+				next := 0
+				push := func() {
+					p := new(int)
+					*p = next
+					model = append(model, next)
+					next++
+					d.PushBottom(p, c)
+				}
+				pop := func() {
+					got := d.PopBottom(c)
+					if len(model) == 0 {
+						if got != nil {
+							t.Fatalf("pop on empty deque returned %d", *got)
+						}
+						return
+					}
+					want := model[len(model)-1]
+					model = model[:len(model)-1]
+					if got == nil || *got != want {
+						t.Fatalf("pop = %v, want %d", got, want)
+					}
+				}
+				var buf [2]*int
+				steal := func() StealResult {
+					n, res := d.PopTopN(buf[:], c)
+					for _, got := range buf[:n] {
+						if got == nil || *got != model[0] {
+							t.Fatalf("steal = %v, want %d", got, model[0])
+						}
+						model = model[1:]
+					}
+					return res
+				}
+				// Batch steals take up to two tasks, stock steals one;
+				// push that many plus one per round so the size stays
+				// put and the deque never drains mid-stream.
+				perRound := 2
+				if d.Batched() {
+					perRound = 3
+				}
+				for i := 0; i < 4; i++ {
+					push()
+				}
+				wrap := 2 * int64(d.Capacity())
+				for d.topIndex() <= wrap {
+					for i := 0; i < perRound; i++ {
+						push()
+					}
+					if res := steal(); res != Stolen {
+						t.Fatalf("steal from a %d-task deque = %v, want Stolen", d.Size(), res)
+					}
+					pop()
+				}
+				if got := d.Capacity(); got != 16 {
+					t.Fatalf("deque grew to %d slots; the stream must wrap the initial ring", got)
+				}
+				switch drain {
+				case "owner-pop":
+					for len(model) > 0 {
+						pop() // the last one is the last-element pop
+					}
+				case "stolen":
+					for steal() != Empty {
+					}
+					pop() // the owner's empty pop
+				}
+				if len(model) != 0 {
+					t.Fatalf("%d tasks left in the model after the drain", len(model))
+				}
+				top, bot := d.topIndex(), d.bot.Load()
+				bb := d.buf.Load()
+				for i := range bb.slots {
+					if p := bb.slots[i].Load(); p != nil {
+						t.Errorf("slot %d still holds task %d outside [top, bot) = [%d, %d)", i, *p, top, bot)
+					}
+				}
+			})
+		}
+	}
+}

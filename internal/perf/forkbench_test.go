@@ -84,7 +84,7 @@ func TestSpawnTreeSpeedupVsBaseline(t *testing.T) {
 		t.Logf("%s: %.1f ns/fork (%.1f normalized) vs baseline %.1f normalized (%.2fx)",
 			r.Key(), r.NsPerFork, r.NormPerFork, b, speedup)
 		if speedup < floor {
-			t.Errorf("%s: normalized %.1f is only %.2fx better than the recorded baseline %.1f, want >= %.1fx",
+			t.Errorf("%s: normalized %.1f is only %.2fx better than the recorded baseline %.1f, want >= %.2fx",
 				r.Key(), r.NormPerFork, speedup, b, floor)
 		}
 	}
