@@ -202,22 +202,24 @@ func TestSetWorkersRacingSubmit(t *testing.T) {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}()
+		defer func() {
+			close(stop)
+			flips.Wait()
+		}()
 		for round := 0; round < 100; round++ {
 			var sum atomic.Int64
-			j := s.Submit(func(w *Worker) {
+			err := submitBounded(t, s, func(w *Worker) {
 				ParFor(w, 0, 512, 4, func(w *Worker, i int) {
 					sum.Add(int64(i))
 				})
 			})
-			if err := j.Wait(); err != nil {
+			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 			if want := int64(512) * 511 / 2; sum.Load() != want {
 				t.Fatalf("round %d: sum = %d, want %d", round, sum.Load(), want)
 			}
 		}
-		close(stop)
-		flips.Wait()
 	})
 }
 

@@ -11,13 +11,17 @@
 // constant time (up to OS signal latency — footnote 2). Go cannot deliver a
 // signal to a specific goroutine, so this package emulates delivery with a
 // per-worker pending word: a thief stores to it ("sends the signal"), and
-// the victim's goroutine polls it at scheduler points and at Poll/Checkpoint
-// calls that computational kernels place inside their loops. The handler
-// therefore still runs on the owner's goroutine at a bounded-distance
-// instruction boundary, preserving both the ownership discipline and the
-// constant-time-exposure property, with the checkpoint interval playing the
-// role of OS delivery latency. USLCWS ignores the pending word entirely and
-// only notices its targeted flag at task boundaries, exactly as in §3.
+// the victim's goroutine checks it at every delivery point — each push of
+// Fork2 and forkRange (ParFor splits), each join, the scheduler loops,
+// and the Poll/Checkpoint calls that computational kernels place inside
+// their loops. Each check is one atomic load; WS never sets the word. The
+// handler therefore still runs on the owner's goroutine at a
+// bounded-distance instruction boundary, preserving both the ownership
+// discipline and the constant-time-exposure property, with the distance
+// between delivery points (at most one fork, one join or one checkpoint
+// interval) playing the role of OS delivery latency. USLCWS ignores the
+// pending word entirely and only notices its targeted flag at task
+// boundaries, exactly as in §3.
 package core
 
 import (

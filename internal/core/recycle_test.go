@@ -31,12 +31,15 @@ func TestTaskRecycleStealStress(t *testing.T) {
 			}
 			for r := 0; r < rounds; r++ {
 				var sum atomic.Int64
-				s.Run(func(w *Worker) {
+				err := submitBounded(t, s, func(w *Worker) {
 					ParFor(w, 0, n, 1, func(w *Worker, i int) {
 						sum.Add(int64(i))
 						w.Poll()
 					})
 				})
+				if err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
 				if want := int64(n) * (n - 1) / 2; sum.Load() != want {
 					t.Fatalf("round %d: sum = %d, want %d (a recycled task ran with a stale descriptor)",
 						r, sum.Load(), want)

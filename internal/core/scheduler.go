@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -620,6 +621,36 @@ func (s *Scheduler) quiesce() {
 	for s.activeJobs.Load() == 0 && s.busy.Load() != 0 {
 		runtime.Gosched()
 	}
+}
+
+// DumpState renders the pool's scheduling state for a stall report: the
+// job and busy counts, then for every slot ever started its slot state,
+// pinned epoch, park bit, pending and targeted flags, and whether its
+// deque holds any work and any public work. Slots past the live prefix
+// are shown too (a retiring worker can still be finishing a job's
+// frames). The values are atomic loads taken while the pool runs, so
+// the lines are not one consistent snapshot; they are meant for a test
+// or a watchdog that has already seen a job stop making progress.
+func (s *Scheduler) DumpState() string {
+	var b strings.Builder
+	set := s.set.Load()
+	fmt.Fprintf(&b, "policy=%v live=%d activeJobs=%d busy=%d injectorEmpty=%v closed=%v\n",
+		s.opts.Policy, len(set.slots), s.activeJobs.Load(), s.busy.Load(), s.inj.Empty(), s.closed.Load())
+	// The resize lock orders the dq reads against initSlot on slots a
+	// concurrent grow is building (see TraceSnapshot).
+	s.resizeMu.Lock()
+	defer s.resizeMu.Unlock()
+	for i := range s.workers {
+		w := s.worker(i)
+		if w.sched == nil {
+			continue // slab tail never grown into
+		}
+		parked := s.parkWords[i/64].Load()&(uint64(1)<<uint(i%64)) != 0
+		fmt.Fprintf(&b, "worker %d: live=%v state=%d epoch=%d parked=%v pending=%v targeted=%v dequeEmpty=%v publicWork=%v\n",
+			i, i < len(set.slots), w.state.Load(), w.pinnedEpoch.Load(), parked, w.pending.Load(), w.targeted.Load(),
+			w.dq.IsEmpty(), w.dq.HasPublicWork())
+	}
+	return b.String()
 }
 
 // setParked marks worker id parked in the parking-lot bitset.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lcws/internal/counters"
 )
@@ -20,6 +22,32 @@ func forEachPolicy(t *testing.T, f func(t *testing.T, p Policy)) {
 
 func newTestScheduler(p Policy, workers int) *Scheduler {
 	return NewScheduler(Options{Workers: workers, Policy: p, Seed: 42})
+}
+
+// jobDeadline bounds how long submitBounded waits on one job.
+const jobDeadline = 30 * time.Second
+
+// submitBounded submits root under a cancellable context and waits for
+// the job at most jobDeadline. On timeout it fails the test with the
+// pool's state dump instead of hanging until the package timeout, and
+// cancels the job so its frames unwind at their next Checkpoint and the
+// pool is free for the tests that follow.
+func submitBounded(t *testing.T, s *Scheduler, root func(*Worker)) error {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j := s.Submit(root, WithJobCtx(ctx))
+	timer := time.NewTimer(jobDeadline)
+	defer timer.Stop()
+	select {
+	case <-j.Done():
+		return j.Wait()
+	case <-timer.C:
+		dump := s.DumpState()
+		cancel()
+		t.Fatalf("job still running after %v:\n%s", jobDeadline, dump)
+		return nil
+	}
 }
 
 func fib(w *Worker, n int) int {

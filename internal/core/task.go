@@ -252,16 +252,17 @@ func (w *Worker) freeTask(t *Task) {
 	if t.recycled {
 		panic("core: double free of a scheduler task (recycling discipline violated)")
 	}
-	if w.relaxed && t.fn == nil && !w.dq.NeverExposed(t.pushStamp.Load()) {
-		// MultFree: a range task that was ever exposed may still be
-		// referenced by a stale relaxed claimant (a thief that loaded
-		// the slot but has not yet lost the execution arbitration).
-		// Re-arming the descriptor would race that claimant's reads, so
-		// once-exposed range tasks are never recycled — the GC reclaims
-		// them when the last claimant drops its reference. Never-exposed
-		// range tasks (the no-steal common case) and function tasks
-		// (CAS-stolen exclusively) recycle as usual, which is what keeps
-		// the steady-state fork path allocation-free under MultFree too.
+	if w.relaxed && !w.dq.NeverExposed(t.pushStamp.Load()) {
+		// MultFree: a task that was ever exposed may still be referenced
+		// by a stale relaxed claimant — a thief that loaded the slot and
+		// is reading the task (its stamp, and fn for the idempotence
+		// check; a function task then falls back to the exclusive CAS)
+		// or has not yet lost the execution arbitration. Re-arming the
+		// descriptor would race those reads, so once-exposed tasks are
+		// never recycled — the GC reclaims them when the last claimant
+		// drops its reference. Never-exposed tasks (the no-steal common
+		// case) recycle as usual, which is what keeps the steady-state
+		// fork path allocation-free under MultFree too.
 		return
 	}
 	t.recycle(w.freelist)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lcws/internal/trace"
 )
@@ -45,13 +46,33 @@ func traceTree(w *Worker, depth int) {
 	)
 }
 
+// holdUntilStealAttempt keeps a job's root waiting until the flight
+// recorder shows a steal attempt by some worker, or a deadline passes.
+// On a small host the owner can otherwise finish a short tree before any
+// thief goroutine is scheduled.
+func holdUntilStealAttempt(s *Scheduler) {
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, e := range s.TraceSnapshot().Events {
+			if e.Type == trace.EvStealAttempt {
+				return
+			}
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestTraceSnapshotEvents runs a fork-join tree under every policy and
 // checks the snapshot contains the event types the policy must emit,
-// time-sorted and well-formed.
+// time-sorted and well-formed. The root holds until a thief has tried a
+// steal, so the steal-attempt check does not depend on timing.
 func TestTraceSnapshotEvents(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, p Policy) {
 		s := traceTestScheduler(p, 4, 1<<14)
-		s.Run(func(w *Worker) { traceTree(w, 8) })
+		s.Run(func(w *Worker) {
+			holdUntilStealAttempt(s)
+			traceTree(w, 8)
+		})
 		tr := s.TraceSnapshot()
 		if tr.Policy != p.String() {
 			t.Errorf("Trace.Policy = %q, want %q", tr.Policy, p.String())
@@ -79,7 +100,7 @@ func TestTraceSnapshotEvents(t *testing.T) {
 			t.Error("no task span events recorded")
 		}
 		if counts[trace.EvStealAttempt] == 0 {
-			t.Error("no steal attempts recorded (4 workers, yielding pool)")
+			t.Error("no steal attempts recorded within the hold's deadline")
 		}
 	})
 }

@@ -39,7 +39,7 @@ type Worker struct {
 
 	// pending is the emulated in-flight signal: a thief stores true
 	// ("pthread_kill"), and this worker's goroutine runs the exposure
-	// handler at its next poll point.
+	// handler at its next delivery point (see handleSignal).
 	pending atomic.Bool //lcws:field atomic
 
 	_ [6]byte // align the trace stamps below to 8 bytes
@@ -74,6 +74,7 @@ type Worker struct {
 	pollCount     uint32           //lcws:field owner — Poll() call counter for the cheap fast path
 	pollEvery     uint32           //lcws:field immutable — Poll calls between pending-signal checks
 	idleSpins     uint32           //lcws:field owner — consecutive failed work-search iterations
+	victimPrivate bool             //lcws:field owner — the last steal attempt found its victim holding only private work
 	policy        Policy           //lcws:field immutable
 	batch         bool             //lcws:field immutable — cached Options.StealBatch
 	relaxed       bool             //lcws:field immutable — cached Policy.relaxedSteal (MultFree)
@@ -241,9 +242,11 @@ func (w *Worker) Poll() {
 }
 
 // Checkpoint checks immediately for a pending exposure request and handles
-// it. It is the emulated signal-delivery point; the handler (the deque's
-// Expose) runs on this worker's goroutine, mirroring a POSIX handler
-// running on the victim's thread.
+// it. It is the emulated signal-delivery point for code that does not
+// fork (Poll, ParFor leaves, the scheduler loops); Fork2 and forkRange
+// deliver at every push and join. The handler (handleSignal) runs on
+// this worker's goroutine, mirroring a POSIX handler running on the
+// victim's thread.
 //
 // Checkpoint is also where an aborted job (task panic elsewhere in the
 // job, or context cancellation) unwinds its running tasks: inside a
@@ -260,16 +263,7 @@ func (w *Worker) Checkpoint() {
 		}
 	}
 	if w.pending.Load() {
-		w.pending.Store(false)
-		w.ctr.Inc(counters.SignalHandled)
-		n := w.dq.Expose(w.policy.exposeMode(), w.ctr)
-		if w.rec != nil {
-			w.rec.SignalHandle(n, w.sigSendTs.Swap(0), w.reqTs.Swap(0))
-		}
-		if n > 0 && w.batch {
-			// Work just became public; unpark a thief to take it.
-			w.sched.wakeOne(w.ctr)
-		}
+		w.handleSignal()
 	}
 	// QoS preemption point: a worker inside a Normal- or Low-class job
 	// cedes to a queued job of a strictly more urgent class — but only
@@ -281,6 +275,25 @@ func (w *Worker) Checkpoint() {
 	// skip even that.
 	if j := w.curJob; j != nil && j.class != High && w.sched.inj.ReadyAbove(int(j.class)) {
 		w.yieldToUrgent(int(j.class))
+	}
+}
+
+// handleSignal is the emulated signal handler (Listing 3's
+// update_public_bottom): it consumes the pending request and exposes
+// private work per the policy's exposure mode. Every delivery point —
+// Checkpoint, each push of Fork2 and forkRange, and each join — calls
+// it after one load of the pending word finds a request; WS never sets
+// that word, so for it the load is always false. Owner-only.
+func (w *Worker) handleSignal() {
+	w.pending.Store(false)
+	w.ctr.Inc(counters.SignalHandled)
+	n := w.dq.Expose(w.policy.exposeMode(), w.ctr)
+	if w.rec != nil {
+		w.rec.SignalHandle(n, w.sigSendTs.Swap(0), w.reqTs.Swap(0))
+	}
+	if n > 0 && w.batch {
+		// Work just became public; unpark a thief to take it.
+		w.sched.wakeOne(w.ctr)
 	}
 }
 
@@ -540,6 +553,11 @@ func (w *Worker) push(t *Task) {
 		sh.created++
 	}
 	w.pushNoTag(t)
+	// Signal delivery point: a request that arrived while this worker
+	// was forking is answered here, with the new task already private.
+	if w.pending.Load() {
+		w.handleSignal()
+	}
 }
 
 // pushNoTag appends a task to this worker's deque without touching its
@@ -743,6 +761,12 @@ func (w *Worker) popLocal() *Task {
 // stamp turns into an immediate panic. After the join the task is
 // returned to this worker's freelist.
 func (w *Worker) join(rt *Task, want uint32) {
+	// Signal delivery point, before the sibling is taken back: a thief
+	// waiting on this worker gets the oldest private task now rather
+	// than at the next Checkpoint, which a Fork2 tree may never reach.
+	if w.pending.Load() {
+		w.handleSignal()
+	}
 	for {
 		t := w.popLocal()
 		if t == nil {
@@ -847,6 +871,7 @@ func (w *Worker) stealOnce() *Task {
 		}
 	}
 	v := w.sched.worker(vid)
+	w.victimPrivate = false
 	w.ctr.Inc(counters.StealAttempt)
 	if w.rec != nil {
 		w.rec.StealAttempt(vid)
@@ -1030,6 +1055,9 @@ func (w *Worker) stealFromBatched(v *Worker, vid int) *Task {
 // exactly one sender per targeted window, which is what makes the
 // SignalSent >= SignalHandled counter invariant exact.
 func (w *Worker) notify(v *Worker) {
+	// Every caller found v holding private work: an exposure is at most
+	// one delivery point away, so idleBackoff keeps this thief awake.
+	w.victimPrivate = true
 	switch w.policy {
 	case USLCWS, LaceWS:
 		w.traceExposeReq(v)
@@ -1079,6 +1107,10 @@ func (w *Worker) traceSignalSend(v *Worker) {
 // lets victims run on oversubscribed hosts, and beyond that the worker
 // parks in exponentially growing sleeps (capped) so a mostly-idle pool
 // stops burning CPU. The ladder resets whenever the worker finds work.
+// Two waits never go past the yield window: a thief whose last attempt
+// found private work (the exposure it requested is microseconds away,
+// while time.Sleep can overshoot a 20 µs request to a millisecond), and
+// a join's help loop (its completion stamp has no wake event).
 const (
 	idleSpinIters  = 8
 	idleYieldIters = 256
@@ -1089,12 +1121,12 @@ const (
 // idleBackoff is called after a work-search iteration that found nothing.
 // Blocked time (sleeping or parked) is accounted to the ParkedNanos
 // counter so idle cost shows up in profiles separately from busy idle
-// iterations. canPark gates the event-driven parking lot: only the
-// top-level loop may park (a join's help loop wakes on its sibling's
-// completion stamp, for which no wakeup event exists), and only in
-// StealBatch mode; everywhere else the tail of the ladder is the blind
-// capped sleep.
-func (w *Worker) idleBackoff(canPark bool) {
+// iterations. mayBlock is false in a join's help loop, which spins and
+// yields but never blocks; the top-level loop passes true and, past the
+// yield window and with no private work seen, parks on the event-driven
+// parking lot in StealBatch mode or takes the blind capped sleep
+// otherwise.
+func (w *Worker) idleBackoff(mayBlock bool) {
 	w.ctr.Inc(counters.IdleIteration)
 	// Idle is the cheap moment to adopt a resize: re-pinning here keeps
 	// a long busy phase from holding an old epoch hostage (blocking
@@ -1105,9 +1137,9 @@ func (w *Worker) idleBackoff(canPark bool) {
 	switch {
 	case w.idleSpins <= idleSpinIters:
 		// Spin again immediately.
-	case w.idleSpins <= idleSpinIters+idleYieldIters:
+	case w.idleSpins <= idleSpinIters+idleYieldIters || w.victimPrivate || !mayBlock:
 		runtime.Gosched()
-	case w.batch && canPark:
+	case w.batch:
 		w.park()
 	default:
 		d := w.idleSleep
@@ -1267,7 +1299,7 @@ func (w *Worker) next(join *Task, want uint32) *Task {
 			w.idleSleep = 0
 			return t
 		}
-		// Joins never park: the awaited completion stamp is a plain
+		// Joins never block: the awaited completion stamp is a plain
 		// store with no wakeup event attached.
 		w.idleBackoff(false)
 	}

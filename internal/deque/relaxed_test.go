@@ -518,3 +518,57 @@ func TestRelaxedRecyclingGate(t *testing.T) {
 		t.Error("stamp from another index epoch must be unrecyclable")
 	}
 }
+
+// TestRelaxedClaimMemoryDoesNotSkipReexposedWork pins the lost-task bug
+// of the relaxed lane. A thief's claim memory can run ahead of the
+// shared cursor: its cursor store for index 0 lands only after the
+// owner's UnexposeAll has bumped the tag, so the owner reclaims (and
+// runs) the task too. The owner then pops back below that index, pushes
+// new tasks at the same absolute indices and exposes them. A claim from
+// the thief's memory would take index 1 and advance the cursor to 2, so
+// the owner's repair fold would move top past the unclaimed task at
+// index 0 and no one would ever run it. The thief aborts instead, and
+// the owner's reclaim gets both tasks.
+func TestRelaxedClaimMemoryDoesNotSkipReexposedWork(t *testing.T) {
+	d := newRelaxed(t)
+	owner, thief := newCtr(), newCtr()
+	st := stamps{}
+	pushStamped(t, d, st, owner, 1, 2)
+	d.Expose(ExposeOne, owner)
+	var cl RelClaim
+	got, res := d.TakeTopRelaxed(&cl, alwaysIdempotent, st.of, thief)
+	if res != Stolen || *got != 1 {
+		t.Fatalf("first relaxed steal = %v, %v; want 1, stolen", got, res)
+	}
+	// Rewind the cursor as if the thief's store had not landed yet, let
+	// the owner reclaim, then land the store with its now-stale tag.
+	landed := d.relNext.Load()
+	_, tag := unpackAge(d.age.Load())
+	d.relNext.Store(packAge(0, tag))
+	if n := d.UnexposeAll(owner); n != 1 {
+		t.Fatalf("UnexposeAll reclaimed %d tasks, want 1", n)
+	}
+	d.relNext.Store(landed)
+	for _, want := range []int{2, 1} { // the owner runs both, 1 as a duplicate
+		if p := d.PopBottom(owner); p == nil || *p != want {
+			t.Fatalf("owner pop = %v, want %d", p, want)
+		}
+	}
+	pushStamped(t, d, st, owner, 3, 4) // at absolute indices 0 and 1 again
+	exposeAll(d, owner)
+	// The thief's memory is past the shared claim: it must abort rather
+	// than claim index 1 and advance the cursor over index 0.
+	if got, res = d.TakeTopRelaxed(&cl, alwaysIdempotent, st.of, thief); res != Abort {
+		t.Fatalf("second relaxed steal = %v, %v; want abort", got, res)
+	}
+	seen := map[int]int{}
+	d.UnexposeAll(owner)
+	for p := d.PopBottom(owner); p != nil; p = d.PopBottom(owner) {
+		seen[*p]++
+	}
+	for _, v := range []int{3, 4} {
+		if seen[v] == 0 {
+			t.Errorf("task %d was lost: the owner's reclaim did not get it (seen %v)", v, seen)
+		}
+	}
+}

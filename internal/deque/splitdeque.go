@@ -110,6 +110,12 @@ type SplitDeque[T any] struct {
 	// trivially coherent for the owner; thieves must go through buf.
 	ownerSlots []atomic.Pointer[T] //lcws:field owner — same backing array buf points at
 	ownerMask  uint64              //lcws:field owner — copy of the current generation's mask
+
+	// [dirtyLo, dirtyHi) spans every absolute index pushed since the
+	// last sweep: only their slots can still hold a task pointer. See
+	// sweep.
+	dirtyLo uint64 //lcws:field owner — index the last sweep found the deque empty at
+	dirtyHi uint64 //lcws:field owner — one past the highest index pushed since
 }
 
 // NewSplit returns a SplitDeque with the given initial capacity
@@ -216,8 +222,39 @@ func (d *SplitDeque[T]) TryPushBottom(t *T, c *counters.Worker) bool {
 	}
 	d.ownerSlots[b&d.ownerMask].Store(t)
 	d.bot.Store(b + 1)
+	d.dirtyHi = max(d.dirtyHi, b+1)
 	c.Inc(counters.TaskPushed)
 	return true
+}
+
+// sweep clears every slot the owner's pops and the thieves' steals left
+// pointing at a dead task, so the deque does not keep recycled task
+// descriptors reachable — the split-deque twin of ChaseLev.sweep. The
+// owner calls it only where it has just found the deque empty at index
+// at (top, publicBot and bot all equal at): the two empty exits of
+// PopPublicBottom (which reset the indices to zero) and UnexposeAll's
+// all-stolen exit with an empty private part. A fork-join owner reaches
+// one of them whenever its deque drains, so retention is bounded by the
+// pushes since the last drain.
+//
+// At that point no index is live. An exclusive thief (PopTop,
+// PopTopHalf) that read a slot before the sweep can only win its CAS if
+// it won before the owner saw the deque empty; one that reads a cleared
+// slot holds an age word the drain has already advanced or re-tagged,
+// so its CAS fails. A relaxed thief treats a nil slot as a failed
+// validation (TakeTopRelaxed) and aborts. The stores order nothing, so
+// they are outside the counting model.
+//
+//lcws:noalloc
+func (d *SplitDeque[T]) sweep(at uint64) {
+	lo, hi := d.dirtyLo, d.dirtyHi
+	if n := d.ownerMask + 1; hi-lo > n {
+		lo = hi - n
+	}
+	for i := lo; i < hi; i++ {
+		d.ownerSlots[i&d.ownerMask].Store(nil)
+	}
+	d.dirtyLo, d.dirtyHi = at, at
 }
 
 // grow publishes a doubled array generation preserving absolute indices:
@@ -371,6 +408,7 @@ func (d *SplitDeque[T]) PopPublicBottom(c *counters.Worker) *T {
 			// §4: repair bot after a failed race-fix PopBottom.
 			d.bot.Store(0)
 		}
+		d.sweep(0) // the private part is empty, and so is the public one
 		return nil
 	}
 	pb--
@@ -404,6 +442,8 @@ func (d *SplitDeque[T]) PopPublicBottom(c *counters.Worker) *T {
 		c.Inc(counters.ExposedNotStolen)
 	}
 	c.Add(counters.Fence, counters.LCWSPopPublicEmptyFences-counters.LCWSPopPublicFences) // line 27 fence
+	// Won or lost, the deque is now empty.
+	d.sweep(0)
 	return task
 }
 
@@ -492,13 +532,12 @@ func (d *SplitDeque[T]) PopTopHalf(buf []*T, c *counters.Worker) (int, StealResu
 // validation, a task may be returned by more than one thief (at most once
 // per thief; internal/verify proves the bound exhaustively for the
 // modeled configurations). cl is this thief's private, monotone claim
-// memory for this victim: it guarantees the thief never returns the same
-// claim index twice, which — together with the owner repair and the fact
-// that a relaxed deque never reuses an exposed absolute index within an
-// epoch (the owner reclaims exclusively through tag-bumping operations,
-// and the rare index reset moves to a fresh epoch whose stale claims are
-// rejected by the stamp validation) — is what bounds a task's
-// multiplicity by the number of thieves per epoch.
+// memory for this victim: a claim below it aborts (see sharedClaim), so
+// the thief never returns the same claim index twice within an epoch,
+// which together with the owner repair is what bounds a task's
+// multiplicity by the number of thieves per epoch (the rare index reset
+// moves to a fresh epoch whose stale claims are rejected by the stamp
+// validation).
 //
 // stampOf must return the push stamp the owner wrote into the task
 // (PushStamp at fork time; the read must be atomic, because stale slot
@@ -531,19 +570,17 @@ func (d *SplitDeque[T]) TakeTopRelaxed(cl *RelClaim, idempotent func(*T) bool, s
 	}
 	oldAge := d.age.Load()
 	top, tag := unpackAge(oldAge)
-	claim := uint64(top)
-	if rIdx, rTag := unpackAge(d.relNext.Load()); rTag == tag && uint64(rIdx) > claim {
-		claim = uint64(rIdx)
-	}
-	if cl.next > claim {
-		claim = cl.next
-	}
+	claim := d.sharedClaim(top, tag)
 	pb := d.publicBot.Load()
 	if claim >= pb {
 		if pb < d.bot.Load() {
 			return nil, PrivateWork
 		}
 		return nil, Empty
+	}
+	if cl.next > claim {
+		// This thief already returned the index (see sharedClaim).
+		return nil, Abort
 	}
 	task := d.loadSlot(claim)
 	if task == nil {
@@ -621,19 +658,17 @@ func (d *SplitDeque[T]) TakeTopHalfRelaxed(buf []*T, cl *RelClaim, idempotent fu
 	}
 	oldAge := d.age.Load()
 	top, tag := unpackAge(oldAge)
-	claim := uint64(top)
-	if rIdx, rTag := unpackAge(d.relNext.Load()); rTag == tag && uint64(rIdx) > claim {
-		claim = uint64(rIdx)
-	}
-	if cl.next > claim {
-		claim = cl.next
-	}
+	claim := d.sharedClaim(top, tag)
 	pb := d.publicBot.Load()
 	if claim >= pb {
 		if pb < d.bot.Load() {
 			return 0, PrivateWork
 		}
 		return 0, Empty
+	}
+	if cl.next > claim {
+		// This thief already returned the index (see sharedClaim).
+		return 0, Abort
 	}
 	n := (pb - claim + 1) / 2 // round(avail/2), at least 1
 	if n > uint64(len(buf)) {
@@ -668,6 +703,32 @@ func (d *SplitDeque[T]) TakeTopHalfRelaxed(buf []*T, cl *RelClaim, idempotent fu
 	cl.next = claim + k
 	c.Add(counters.RelaxedSteal, k)
 	return int(k), Stolen
+}
+
+// sharedClaim is the next index a relaxed thief may claim: the larger
+// of top and the relNext cursor, the cursor honored only under the
+// current tag.
+//
+// A thief's own claim memory (RelClaim.next) can run ahead of it. When
+// the thief's cursor store lands after an owner reclaim (stale tag,
+// ignored), the owner takes those tasks back, may pop below them, push
+// new tasks at the same absolute indices and expose them again — all
+// within one epoch. Claiming from the memory there would be wrong both
+// ways: storing the cursor past the re-exposed tasks lets the owner's
+// repair fold top over them, so no one ever runs them; and a claim
+// taken off the shared prefix is one the owner's repair and the
+// recycling gate do not see. So the memory only vetoes: a thief whose
+// memory is past the shared claim aborts, and never returns an index
+// twice, which is what bounds multiplicity; the other claimants and the
+// owner's reclaim take the work.
+//
+//lcws:noalloc
+func (d *SplitDeque[T]) sharedClaim(top, tag uint32) uint64 {
+	shared := uint64(top)
+	if rIdx, rTag := unpackAge(d.relNext.Load()); rTag == tag && uint64(rIdx) > shared {
+		shared = uint64(rIdx)
+	}
+	return shared
 }
 
 // repairRelaxed is the owner-side repair of the MultFree protocol
@@ -828,6 +889,7 @@ func (d *SplitDeque[T]) resetIndices(c *counters.Worker) {
 	d.relNext.Store(packAge(0, tag+1))
 	d.cachedTop = 0
 	d.maxPub = 0
+	d.dirtyLo, d.dirtyHi = 0, n // the fresh generation holds only the rebased window
 	d.epoch.Add(1)
 	c.Inc(counters.Fence) // ordering of the rebased stores against the epoch advance
 }
@@ -896,6 +958,9 @@ func (d *SplitDeque[T]) UnexposeAll(c *counters.Worker) int {
 			// race-fix decrement to repair: bot < publicBot cannot hold
 			// at publicBot == 0, so bot is left alone (it may hold a
 			// non-empty private part when called from SpillOldest).
+			if d.bot.Load() == 0 {
+				d.sweep(0)
+			}
 			return 0
 		}
 		oldAge := d.age.Load()
@@ -904,6 +969,9 @@ func (d *SplitDeque[T]) UnexposeAll(c *counters.Worker) int {
 			// Everything public was stolen; nothing to reclaim.
 			if d.raceFix && d.bot.Load() < pb {
 				d.bot.Store(pb) // repair after a failed race-fix PopBottom
+			}
+			if d.bot.Load() == pb {
+				d.sweep(pb) // and the private part is empty too
 			}
 			return 0
 		}

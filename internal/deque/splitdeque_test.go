@@ -642,3 +642,127 @@ func TestSplitABATagPreventsStaleSteal(t *testing.T) {
 		t.Fatalf("fresh steal = %v, %v; want Stolen 2", got, res)
 	}
 }
+
+// TestSplitDequeClearsDeadSlots is TestChaseLevClearsDeadSlots for the
+// split deque: a push/expose/steal/pop stream walks the live window
+// around the ring several times, then the deque drains — by owner pops or
+// by steals — and no slot may still hold a task. Both owner disciplines
+// are covered: the stock one that reclaims through PopPublicBottom (and
+// resets the indices on empty) and the UnexposeAll one of Lace, batch
+// mode and MultFree (whose indices never reset).
+func TestSplitDequeClearsDeadSlots(t *testing.T) {
+	for _, mode := range []struct {
+		name     string
+		mk       func() *SplitDeque[int]
+		unexpose bool
+	}{
+		{"racefix", func() *SplitDeque[int] { return NewSplit[int](16, true) }, false},
+		{"conservative", func() *SplitDeque[int] { return NewSplit[int](16, false) }, false},
+		{"unexpose", func() *SplitDeque[int] { return NewSplit[int](16, true) }, true},
+		{"relaxed", func() *SplitDeque[int] { return NewSplitRelaxed[int](16, 0, true) }, true},
+	} {
+		for _, drain := range []string{"owner-pop", "stolen"} {
+			t.Run(mode.name+"/"+drain, func(t *testing.T) {
+				d := mode.mk()
+				c := newCtr()
+				var model []int // model[0] is the top task
+				next := 0
+				push := func() {
+					p := new(int)
+					*p = next
+					model = append(model, next)
+					next++
+					d.PushBottom(p, c)
+				}
+				pop := func() bool {
+					got := d.PopBottom(c)
+					if got == nil {
+						return false
+					}
+					want := model[len(model)-1]
+					model = model[:len(model)-1]
+					if *got != want {
+						t.Fatalf("pop = %d, want %d", *got, want)
+					}
+					return true
+				}
+				// reclaim is the owner's step after an empty private pop.
+				reclaim := func() {
+					if mode.unexpose {
+						if n := d.UnexposeAll(c); n != 0 {
+							t.Fatalf("UnexposeAll reclaimed %d tasks from a fully stolen public part", n)
+						}
+					} else if got := d.PopPublicBottom(c); got != nil {
+						t.Fatalf("PopPublicBottom returned %d from a fully stolen public part", *got)
+					}
+				}
+				var buf [2]*int
+				steal := func() StealResult {
+					n, res := 0, Empty
+					if mode.unexpose {
+						n, res = d.PopTopHalf(buf[:], c)
+					} else {
+						var got *int
+						if got, res = d.PopTop(c); res == Stolen {
+							buf[0], n = got, 1
+						}
+					}
+					for _, got := range buf[:n] {
+						if got == nil || *got != model[0] {
+							t.Fatalf("steal = %v, want %d", got, model[0])
+						}
+						model = model[1:]
+					}
+					return res
+				}
+				for i := 0; i < 4; i++ {
+					push()
+				}
+				// Each round exposes the oldest task, a thief takes it and
+				// the owner pops the youngest: the size stays put and the
+				// deque never drains mid-stream, so top keeps advancing.
+				wrap := uint64(2 * d.Capacity())
+				for top, _ := unpackAge(d.age.Load()); uint64(top) <= wrap; top, _ = unpackAge(d.age.Load()) {
+					push()
+					push()
+					if n := d.Expose(ExposeOne, c); n != 1 {
+						t.Fatalf("Expose exposed %d tasks, want 1", n)
+					}
+					if res := steal(); res != Stolen {
+						t.Fatalf("steal from a %d-task deque = %v, want Stolen", len(model), res)
+					}
+					if !pop() {
+						t.Fatal("owner pop found no private task")
+					}
+				}
+				if got := d.Capacity(); got != 16 {
+					t.Fatalf("deque grew to %d slots; the stream must wrap the initial ring", got)
+				}
+				switch drain {
+				case "owner-pop":
+					for pop() {
+					}
+				case "stolen":
+					for d.Expose(ExposeHalf, c) > 0 {
+					}
+					for steal() != Empty {
+					}
+					pop() // the owner's empty pop
+				}
+				reclaim()
+				if len(model) != 0 {
+					t.Fatalf("%d tasks left in the model after the drain", len(model))
+				}
+				if !d.IsEmpty() {
+					t.Fatal("deque not empty after the drain")
+				}
+				bb := d.buf.Load()
+				for i := range bb.slots {
+					if p := bb.slots[i].Load(); p != nil {
+						t.Errorf("slot %d of an empty deque still holds task %d", i, *p)
+					}
+				}
+			})
+		}
+	}
+}

@@ -30,6 +30,7 @@ package perf
 // must not allocate in steady state.
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -402,7 +403,15 @@ type RelaxedRunResult struct {
 	// SumOK reports that every ParFor element was executed exactly once
 	// per round despite the duplicated claims (the claimed-sum check).
 	SumOK bool `json:"sum_ok"`
+	// Stall is the pool's state dump when the job did not finish within
+	// RelaxedRunDeadline (empty otherwise); the other counts are then
+	// left zero.
+	Stall string `json:"stall,omitempty"`
 }
+
+// RelaxedRunDeadline bounds MeasureRelaxedDuplicateRate's wait for its
+// job; the workload takes well under a second when it completes.
+const RelaxedRunDeadline = 30 * time.Second
 
 // MeasureRelaxedDuplicateRate runs rounds of a grain-1 ParFor over elems
 // elements under MultFree and returns the run's relaxed-steal and
@@ -420,13 +429,28 @@ func MeasureRelaxedDuplicateRate(workers, elems, rounds int) RelaxedRunResult {
 	}
 	s := lcws.New(lcws.WithWorkers(workers), lcws.WithPolicy(lcws.MultFree), lcws.WithSeed(1))
 	var sum atomic.Int64
-	s.Run(func(ctx *lcws.Ctx) {
+	jctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j := s.Submit(func(ctx *lcws.Ctx) {
 		for r := 0; r < rounds; r++ {
 			lcws.ParFor(ctx, 0, elems, 1, func(_ *lcws.Ctx, i int) {
 				sum.Add(int64(i))
 			})
 		}
-	})
+	}, lcws.WithJobCtx(jctx))
+	timer := time.NewTimer(RelaxedRunDeadline)
+	defer timer.Stop()
+	select {
+	case <-j.Done():
+		if err := j.Wait(); err != nil {
+			panic(err) // as Run would re-throw a task panic
+		}
+	case <-timer.C:
+		// Dump before cancelling: the cancel unwinds the stuck frames.
+		stall := s.DumpState()
+		cancel()
+		return RelaxedRunResult{Workers: workers, Elements: elems, Rounds: rounds, Stall: stall}
+	}
 	st := s.Stats()
 	res := RelaxedRunResult{
 		Workers:         workers,

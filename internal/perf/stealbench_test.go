@@ -157,6 +157,9 @@ func TestRelaxedDuplicateRateBounded(t *testing.T) {
 		t.Skip("duplicate-rate run needs its full workload")
 	}
 	r := MeasureRelaxedDuplicateRate(0, 0, 0)
+	if r.Stall != "" {
+		t.Fatalf("MultFree run still running after %v:\n%s", RelaxedRunDeadline, r.Stall)
+	}
 	t.Logf("MultFree run: %d relaxed steals, %d duplicates absorbed (rate %.4f, bound %d)",
 		r.RelaxedSteals, r.TasksDuplicated, r.DuplicateRate, r.Workers-1)
 	if !r.SumOK {

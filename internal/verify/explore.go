@@ -126,8 +126,8 @@ func normalize(sc Scenario) Scenario {
 		if sc.StealHalf {
 			panic("verify: relaxed scenarios model the single-claim protocol; the batched variant rides on the same cursor store (see deque.TakeTopHalfRelaxed)")
 		}
-	} else if sc.RelaxedNoRepair || sc.RelaxedNoClaimMemory || sc.AtomicClaims || sc.Pinned != 0 {
-		panic("verify: relaxed knobs (NoRepair/NoClaimMemory/AtomicClaims/Pinned) require Relaxed")
+	} else if sc.RelaxedNoRepair || sc.RelaxedNoClaimMemory || sc.RelaxedClaimAhead || sc.AtomicClaims || sc.Pinned != 0 {
+		panic("verify: relaxed knobs (NoRepair/NoClaimMemory/ClaimAhead/AtomicClaims/Pinned) require Relaxed")
 	}
 	if sc.RelaxedNoStampCheck && (!sc.Relaxed || !sc.Circular) {
 		panic("verify: RelaxedNoStampCheck ablates the stamp validation of the relaxed claim path on the circular array model; it requires both Relaxed and Circular")

@@ -362,3 +362,57 @@ func TestRelaxedLostTaskOracleLive(t *testing.T) {
 		t.Fatalf("expected a lost-task violation, got %v", r.Violations)
 	}
 }
+
+// reexposeScenario reuses exposed indices within one epoch: task 1 is
+// exposed, reclaimed, and popped back (with task 2 above it) by the
+// owner, which then pushes tasks 3 and 4 at the same absolute indices
+// and exposes them before draining. A thief whose first claim of index
+// 0 races the reclaim ends up with a claim memory past the re-exposed
+// task 3. (When the thief's claim lands first, task 1 is not reclaimed
+// and the second pop fails; the following UnexposeAll is the repair
+// the scheduler's popLocal always runs after a failed pop.)
+func reexposeScenario(name string, claimAhead bool) Scenario {
+	return Scenario{
+		Name:              name,
+		RaceFix:           true,
+		Relaxed:           true,
+		RelaxedClaimAhead: claimAhead,
+		Owner: []Op{
+			Push(1), Push(2),
+			UpdatePublicBottom(), UnexposeAll(),
+			Pop(), Pop(), UnexposeAll(), // the last repairs bot if task 1 was stolen
+			Push(3), Push(4),
+			UpdatePublicBottom(), UpdatePublicBottom(),
+			DrainBatch(),
+		},
+		Thieves:       1,
+		StealAttempts: 2,
+		Expose:        deque.ExposeOne,
+		RequireDrain:  true,
+	}
+}
+
+// TestRelaxedIndexReuseLosesNothing is the positive half: with the claim
+// memory acting only as a veto (deque.SplitDeque.sharedClaim), reusing
+// exposed indices loses no task and keeps the multiplicity bound, here
+// with two thieves.
+func TestRelaxedIndexReuseLosesNothing(t *testing.T) {
+	sc := reexposeScenario("relaxed-index-reuse-two-thieves", false)
+	sc.Thieves = 2
+	mustClean(t, sc)
+}
+
+// TestRelaxedClaimAheadLosesTask is the negative control for the rule
+// it replaced: claiming from the memory and storing the cursor past the
+// claim lets the owner's repair fold top over task 3, which the checker
+// must report as lost.
+func TestRelaxedClaimAheadLosesTask(t *testing.T) {
+	r := Check(reexposeScenario("relaxed-claim-ahead-loses-task", true))
+	logReport(t, r)
+	if r.Truncated {
+		t.Fatalf("exploration truncated at %d states", r.States)
+	}
+	if kinds(r)[LostTask] == 0 {
+		t.Fatalf("the claim-ahead rule must lose a re-exposed task in some schedule; got %v", r.Violations)
+	}
+}

@@ -809,8 +809,9 @@ func (s *state) growNaiveStep(sc *Scenario, t *thread) (string, *Violation) {
 // thief's persistent monotone claim memory (deque.RelClaim), which —
 // unlike the registers — survives attempt boundaries.
 //
-// The claim is max(top, tag-honored relNext cursor, cl); after
-// validating claim < publicBot and reading the slot, an idempotent task
+// The claim is max(top, tag-honored relNext cursor); after validating
+// claim < publicBot, a claim below cl (an index this thief already
+// returned) aborts, and otherwise after reading the slot an idempotent task
 // is committed with a plain cursor store (no fence, no CAS), while a
 // pinned task falls back to the exclusive age CAS, legal only when the
 // claim is the authoritative top. On the circular model the slot read
@@ -848,7 +849,7 @@ func (s *state) relaxedTakeStep(sc *Scenario, t *thread, tid int) (string, *Viol
 		if rTag == tag && uint64(rIdx) > claim {
 			claim = uint64(rIdx)
 		}
-		if !sc.RelaxedNoClaimMemory && t.cl > claim {
+		if sc.RelaxedClaimAhead && t.cl > claim {
 			claim = t.cl
 		}
 		t.r3 = claim
@@ -856,9 +857,15 @@ func (s *state) relaxedTakeStep(sc *Scenario, t *thread, tid int) (string, *Viol
 		return fmt.Sprintf("%s: take_top_relaxed load relNext -> claim=%d", who, claim), nil
 	case 2:
 		t.r2 = s.publicBot
-		if t.r3 >= t.r2 {
+		switch {
+		case t.r3 >= t.r2:
 			t.phase = 5
-		} else {
+		case !sc.RelaxedNoClaimMemory && t.cl > t.r3:
+			// The thief already returned this index: its memory vetoes
+			// the claim (deque.SplitDeque.sharedClaim).
+			t.complete()
+			return fmt.Sprintf("%s: take_top_relaxed load publicBot=%d, claim %d < memory %d -> ABORT", who, t.r2, t.r3, t.cl), nil
+		default:
 			t.phase = 3
 		}
 		return fmt.Sprintf("%s: take_top_relaxed load publicBot=%d", who, t.r2), nil
@@ -965,8 +972,12 @@ func (s *state) relaxedTakeAtomic(sc *Scenario, t *thread, who string) (string, 
 	if rIdx, rTag := unpackAge(s.relNext); rTag == tag && uint64(rIdx) > claim {
 		claim = uint64(rIdx)
 	}
-	if !sc.RelaxedNoClaimMemory && t.cl > claim {
+	if sc.RelaxedClaimAhead && t.cl > claim {
 		claim = t.cl
+	}
+	if !sc.RelaxedNoClaimMemory && t.cl > claim && claim < s.publicBot {
+		t.complete()
+		return fmt.Sprintf("%s: take_top_relaxed (atomic) claim=%d < memory %d -> ABORT", who, claim, t.cl), nil
 	}
 	if claim >= s.publicBot {
 		empty := s.publicBot >= s.bot

@@ -183,6 +183,13 @@ type Scenario struct {
 	// the model of "a fresh thief per epoch" — the adversary against
 	// which the repair fold alone must carry the bound.
 	RelaxedNoClaimMemory bool
+	// RelaxedClaimAhead restores the earlier claim rule (negative
+	// tests): a thief claims max(top, cursor, its claim memory) and
+	// stores the cursor past that claim, instead of letting the memory
+	// only veto. After an unexpose, a pop below an exposed index and a
+	// re-exposure at the same indices, the owner's repair then folds top
+	// over a re-exposed task no one returned, and LostTask fires.
+	RelaxedClaimAhead bool
 	// Circular switches the modelled task array from absolute to
 	// physical (index mod capacity) slot addressing, the layout of the
 	// implementation's circular backing array: a push at absolute index
