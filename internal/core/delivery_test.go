@@ -124,8 +124,10 @@ func TestSignalFork2TreeSteals(t *testing.T) {
 // whose last steal attempt found the victim holding private work keeps
 // yielding past the spin/yield window instead of sleeping, and sleeps
 // once an attempt finds the victim empty. A join's help loop never
-// sleeps.
+// sleeps. GOMAXPROCS is raised to the pool size so the rule applies on
+// 1-CPU hosts too (see TestIdleBackoffSleepsWhenOversubscribed).
 func TestIdleBackoffStaysAwakeAfterNotify(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := newTestScheduler(SignalLCWS, 2)
 	defer s.Close()
 	victim, w := s.worker(0), s.worker(1)
@@ -163,5 +165,33 @@ func TestIdleBackoffStaysAwakeAfterNotify(t *testing.T) {
 	w.idleBackoff(true)
 	if got := w.ctr.Get(counters.ParkedNanos); got == 0 {
 		t.Error("top-level thief past the yield window did not sleep after finding the victim empty")
+	}
+}
+
+// TestIdleBackoffSleepsWhenOversubscribed checks the rule's bound: with
+// more live workers than GOMAXPROCS, a thief that just notified its
+// victim and a join's help loop both go on to the sleep ladder past the
+// yield window, because a waiter that keeps yielding there holds the
+// processor the victim needs.
+func TestIdleBackoffSleepsWhenOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestScheduler(SignalLCWS, 2)
+	defer s.Close()
+	victim, w := s.worker(0), s.worker(1)
+	tk := &Task{fn: func(*Worker) {}}
+	victim.dq.PushBottom(tk, victim.ctr) //lcws:presync single-threaded test; the pool has no job, so worker 0's goroutine is idle
+
+	w.idleSpins = idleSpinIters + idleYieldIters //lcws:presync single-threaded test
+	if got := w.stealOnce(); got != nil || !w.victimPrivate {
+		t.Fatalf("attempt on a victim with private work: task %v, victimPrivate %v", got, w.victimPrivate)
+	}
+	w.idleBackoff(true)
+	slept := w.ctr.Get(counters.ParkedNanos)
+	if slept == 0 {
+		t.Fatal("oversubscribed thief kept yielding after notifying instead of sleeping")
+	}
+	w.idleBackoff(false)
+	if got := w.ctr.Get(counters.ParkedNanos); got == slept {
+		t.Error("oversubscribed join help loop kept yielding instead of sleeping")
 	}
 }

@@ -1107,10 +1107,14 @@ func (w *Worker) traceSignalSend(v *Worker) {
 // lets victims run on oversubscribed hosts, and beyond that the worker
 // parks in exponentially growing sleeps (capped) so a mostly-idle pool
 // stops burning CPU. The ladder resets whenever the worker finds work.
-// Two waits never go past the yield window: a thief whose last attempt
-// found private work (the exposure it requested is microseconds away,
-// while time.Sleep can overshoot a 20 µs request to a millisecond), and
-// a join's help loop (its completion stamp has no wake event).
+// Two waits never go past the yield window while every worker of the
+// pool can hold a processor (live workers <= GOMAXPROCS): a thief whose
+// last attempt found private work (the exposure it requested is
+// microseconds away, while time.Sleep can overshoot a 20 µs request to a
+// millisecond), and a join's help loop (its completion stamp has no wake
+// event). In an oversubscribed pool a waiter that keeps yielding holds a
+// processor the victim or the awaited sibling needs, so both fall back
+// to the sleep ladder.
 const (
 	idleSpinIters  = 8
 	idleYieldIters = 256
@@ -1121,11 +1125,12 @@ const (
 // idleBackoff is called after a work-search iteration that found nothing.
 // Blocked time (sleeping or parked) is accounted to the ParkedNanos
 // counter so idle cost shows up in profiles separately from busy idle
-// iterations. mayBlock is false in a join's help loop, which spins and
-// yields but never blocks; the top-level loop passes true and, past the
-// yield window and with no private work seen, parks on the event-driven
-// parking lot in StealBatch mode or takes the blind capped sleep
-// otherwise.
+// iterations. mayBlock is false in a join's help loop, which never
+// parks (no wake event reaches it) and, unless the pool is
+// oversubscribed, never sleeps; the top-level loop passes true and, past
+// the yield window and with no private work seen (or oversubscribed),
+// parks on the event-driven parking lot in StealBatch mode or takes the
+// blind capped sleep otherwise.
 func (w *Worker) idleBackoff(mayBlock bool) {
 	w.ctr.Inc(counters.IdleIteration)
 	// Idle is the cheap moment to adopt a resize: re-pinning here keeps
@@ -1137,9 +1142,11 @@ func (w *Worker) idleBackoff(mayBlock bool) {
 	switch {
 	case w.idleSpins <= idleSpinIters:
 		// Spin again immediately.
-	case w.idleSpins <= idleSpinIters+idleYieldIters || w.victimPrivate || !mayBlock:
+	case w.idleSpins <= idleSpinIters+idleYieldIters:
 		runtime.Gosched()
-	case w.batch:
+	case (w.victimPrivate || !mayBlock) && len(w.curSet.slots) <= runtime.GOMAXPROCS(0):
+		runtime.Gosched()
+	case w.batch && mayBlock:
 		w.park()
 	default:
 		d := w.idleSleep
