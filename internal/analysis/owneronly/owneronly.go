@@ -6,16 +6,19 @@
 // synchronization-free (growth and spilling publish their results with
 // single release stores but are still single-writer protocols) and
 // therefore only safe when invoked by the deque's single owner. In this
-// codebase the owner is the Worker whose dq field holds the deque, so
-// every owner-only call must have the shape w.dq.Method(...) where w is
+// codebase the owner is the Worker whose dq field holds the deque — and
+// whose split field holds the same deque typed as the split deque (nil
+// under WS), for the split-only operations — so every owner-only call
+// must have the shape w.dq.Method(...) or w.split.Method(...) where w is
 // the receiver of an enclosing Worker method, outside any function
 // literal (a closure could outlive or escape the owner's loop).
 // Thief-safe operations (PopTop, HasTwoTasks, IsEmpty, PrivateSize,
 // PublicSize) may be called on any worker's deque, which is exactly how
-// stealOnce and notify use a victim's dq. The batched steal entry
-// points ride the same split: PopTopHalf/PopTopN claim with a CAS and
-// are thief-safe, and HasPublicWork is the racy read the parking lot's
-// pre-park and wake checks run against arbitrary victims.
+// stealOnce and notify use a victim's dq and split. The batched and
+// relaxed steal entry points ride the same split: PopTopHalf claims
+// with a CAS, TakeTopRelaxed/TakeTopHalfRelaxed with a per-thief claim
+// cursor, and all are thief-safe; HasPublicWork is the racy read the
+// parking lot's pre-park and wake checks run against arbitrary victims.
 //
 // The per-worker task freelist (the freelist and freelistLen fields)
 // carries the same contract one level down: it is mutated without
@@ -70,13 +73,14 @@ import (
 	"lcws/internal/analysis/fieldclass"
 )
 
-// workerPkg/workerType identify the guarded struct; dequeField and
-// recField its method-bearing owner-only fields:
+// workerPkg/workerType identify the guarded struct; dequeField,
+// splitField and recField its method-bearing owner-only fields:
 // lcws/internal/core.Worker.
 const (
 	workerPkg  = "lcws/internal/core"
 	workerType = "Worker"
 	dequeField = "dq"
+	splitField = "split"
 	recField   = "rec"
 )
 
@@ -99,9 +103,10 @@ var plainOwnerFields = map[string]bool{
 
 // ownerOnly holds the deque methods that must run on the owner's
 // goroutine; thiefSafe holds the ones any thread may call. Every method
-// reachable through the dq field must be classified in one of the two —
-// an unclassified method is itself reported, so extending the taskDeque
-// interface forces a conscious concurrency decision here.
+// reachable through the dq or split field must be classified in one of
+// the two — an unclassified method is itself reported, so extending the
+// taskDeque interface or the split deque forces a conscious concurrency
+// decision here.
 var ownerOnly = map[string]bool{
 	"PushBottom":      true,
 	"TryPushBottom":   true, // growth-aware push: owner-side array doubling
@@ -126,7 +131,6 @@ var epochGuarded = map[string]bool{
 var thiefSafe = map[string]bool{
 	"PopTop":             true,
 	"PopTopHalf":         true, // batched steal: single CAS claims the run
-	"PopTopN":            true, // Chase-Lev batched steal
 	"TakeTopRelaxed":     true, // MultFree relaxed claim: per-thief RelClaim cursor, no CAS
 	"TakeTopHalfRelaxed": true, // MultFree batched relaxed claim
 	"HasTwoTasks":        true,
@@ -189,9 +193,10 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "check that owner-only worker state is touched only by the owning worker\n\n" +
 		"Owner-side deque operations elide all fences and CAS (Lemmas 1-3 of the paper); " +
 		"calling one from another goroutine is a data race. This analyzer enforces that " +
-		"w.dq.PushBottom/PopBottom/PopPublicBottom/Expose/UnexposeAll appear only with w " +
-		"the receiver of the enclosing Worker method, not inside function literals, and " +
-		"that the dq field is never aliased into a variable or argument. The task " +
+		"owner-side calls through w.dq or w.split (TryPushBottom/PopBottom/PopPublicBottom/" +
+		"Expose/UnexposeAll/...) appear only with w the receiver of the enclosing Worker " +
+		"method, not inside function literals, and that neither field is ever aliased " +
+		"into a variable or argument. The task " +
 		"freelist, the cached job context (curJob, curShard), and the overflow-spill " +
 		"state (overflowHead, overflowTail, spilled, spillBuf) carry the same " +
 		"owner-only contract for plain reads and writes, " +
@@ -216,9 +221,9 @@ func run(pass *analysis.Pass) error {
 			return true
 		}
 		switch name := sel.Sel.Name; {
-		case name == dequeField:
-			if isWorkerField(fieldObject(pass, sel), dequeField) {
-				checkDequeUse(pass, sel, stack)
+		case name == dequeField || name == splitField:
+			if isWorkerField(fieldObject(pass, sel), name) {
+				checkDequeUse(pass, sel, stack, name)
 			}
 		case plainOwnerFields[name]:
 			if isWorkerField(fieldObject(pass, sel), name) {
@@ -282,9 +287,9 @@ func inFuncLit(stack []ast.Node, fd *ast.FuncDecl) bool {
 	return false
 }
 
-// checkDequeUse validates one appearance of the dq field. stack holds
-// the ancestors of sel, outermost first.
-func checkDequeUse(pass *analysis.Pass, sel *ast.SelectorExpr, stack []ast.Node) {
+// checkDequeUse validates one appearance of the dq or split field
+// (named field). stack holds the ancestors of sel, outermost first.
+func checkDequeUse(pass *analysis.Pass, sel *ast.SelectorExpr, stack []ast.Node, field string) {
 	if len(stack) == 0 {
 		return
 	}
@@ -293,8 +298,8 @@ func checkDequeUse(pass *analysis.Pass, sel *ast.SelectorExpr, stack []ast.Node)
 	}
 	parent := stack[len(stack)-1]
 
-	// Initialization writes (w.dq = ...) are the only non-call use
-	// allowed; they happen before the worker goroutine starts.
+	// Initialization writes (w.dq, w.split = ...) are the only non-call
+	// uses allowed; they happen before the worker goroutine starts.
 	if assign, ok := parent.(*ast.AssignStmt); ok {
 		for _, lhs := range assign.Lhs {
 			if lhs == sel {
@@ -305,7 +310,7 @@ func checkDequeUse(pass *analysis.Pass, sel *ast.SelectorExpr, stack []ast.Node)
 
 	method, ok := parent.(*ast.SelectorExpr)
 	if !ok || method.X != sel {
-		pass.Reportf(sel.Pos(), "the dq field must not be aliased, passed, or compared: owner-only access is checked per call site")
+		pass.Reportf(sel.Pos(), "the %s field must not be aliased, passed, or compared: owner-only access is checked per call site", field)
 		return
 	}
 	name := method.Sel.Name

@@ -9,17 +9,26 @@ import "unsafe"
 type taskDeque interface {
 	PushBottom(int)
 	PopBottom() int
-	PopPublicBottom() int
 	PopTop() int
 	PopTopHalf([]int) int
-	Expose() int
-	UnexposeAll() int
-	HasTwoTasks() bool
 	HasPublicWork() bool
 	IsEmpty() bool
 	Teardown()
 	Mystery()
 }
+
+// SplitDeque stands in for the split deque the split field reaches:
+// the split-only owner and thief operations.
+type SplitDeque struct{}
+
+func (d *SplitDeque) PopPublicBottom() int    { return 0 }
+func (d *SplitDeque) Expose() int             { return 0 }
+func (d *SplitDeque) UnexposeAll() int        { return 0 }
+func (d *SplitDeque) PushStamp() uint64       { return 0 }
+func (d *SplitDeque) HasTwoTasks() bool       { return false }
+func (d *SplitDeque) TakeTopRelaxed() int     { return 0 }
+func (d *SplitDeque) TakeTopHalfRelaxed() int { return 0 }
+func (d *SplitDeque) Enigma()                 {}
 
 type Task struct {
 	next *Task
@@ -46,15 +55,17 @@ type jobShard struct{ created, completed uint64 }
 type Worker struct {
 	id       int
 	dq       taskDeque
+	split    *SplitDeque
 	freelist *Task
 	rec      *Recorder
 	curJob   *Job
 	curShard *jobShard
 }
 
-func NewWorker(dq taskDeque) *Worker {
+func NewWorker(dq taskDeque, sd *SplitDeque) *Worker {
 	w := &Worker{}
 	w.dq = dq           // ok: initialization write before the owner goroutine starts
+	w.split = sd        // ok: initialization write
 	w.rec = &Recorder{} // ok: initialization write
 	return w
 }
@@ -68,17 +79,36 @@ func (w *Worker) ownerLoop() int {
 }
 
 func (w *Worker) steal(v *Worker) int {
-	if v.dq.HasTwoTasks() { // ok: thief-safe on a victim
+	if v.split.HasTwoTasks() { // ok: thief-safe on a victim
 		return v.dq.PopTop()
 	}
-	return 0
+	return v.split.TakeTopRelaxed() // ok: the relaxed claim is thief-safe
+}
+
+func (w *Worker) exposeOwn() int {
+	w.split.PushStamp() // ok: owner-only on the receiver
+	return w.split.Expose()
+}
+
+func (w *Worker) badSplitVictim(v *Worker) int {
+	return v.split.Expose() // want `owner-only deque method Expose called on v, which is not the owning receiver w`
+}
+
+func (w *Worker) badSplitAlias() {
+	d := w.split // want `split field must not be aliased`
+	_ = d
+}
+
+func (w *Worker) unclassifiedSplit() {
+	w.split.Enigma() // want `deque method Enigma is not classified as owner-only, thief-safe, or epoch-guarded`
 }
 
 func (w *Worker) stealBatch(v *Worker, buf []int) int {
 	if !v.dq.HasPublicWork() { // ok: thief-safe parking-lot pre-check on a victim
 		return 0
 	}
-	n := v.dq.PopTopHalf(buf) // ok: the batched claim is thief-safe (single CAS)
+	n := v.dq.PopTopHalf(buf)         // ok: the batched claim is thief-safe (single CAS)
+	n += v.split.TakeTopHalfRelaxed() // ok: the batched relaxed claim is thief-safe
 	for i := 1; i < n; i++ {
 		w.dq.PushBottom(buf[i]) // ok: the remnant lands in the thief's own deque
 	}
@@ -95,7 +125,7 @@ func (w *Worker) badBatchLanding(v *Worker, task int) {
 
 func (w *Worker) badClosure() func() {
 	return func() {
-		w.dq.Expose() // want `owner-only deque method Expose called inside a function literal`
+		w.split.Expose() // want `owner-only deque method Expose called inside a function literal`
 	}
 }
 
@@ -105,7 +135,7 @@ func (w *Worker) badAlias() {
 }
 
 func (w *Worker) badMethodValue() func() int {
-	return w.dq.PopPublicBottom // want `must be called directly, not bound as a method value`
+	return w.split.PopPublicBottom // want `must be called directly, not bound as a method value`
 }
 
 func (w *Worker) unclassified() {
@@ -219,7 +249,7 @@ func (w *Worker) unclassifiedRec() {
 type Scheduler struct{ workers []*Worker }
 
 func (s *Scheduler) badFromScheduler() {
-	s.workers[0].dq.UnexposeAll() // want `owner-only deque method UnexposeAll called outside a Worker method`
+	s.workers[0].split.UnexposeAll() // want `owner-only deque method UnexposeAll called outside a Worker method`
 }
 
 func (s *Scheduler) goodSnapshotFromScheduler() ([]int, uint64) {

@@ -70,9 +70,9 @@ var rules = map[string]map[string]rule{
 		// (WSBatchPopCAS), not just for the last element.
 		"popBottomBatch": {mustFence: true, mustCAS: true},
 		"PopTop":         {mustFence: true, mustCAS: true},
-		// PopTopN costs the same as a single steal: the batch rides the
+		// PopTopHalf costs the same as a single steal: the batch rides the
 		// one fence + one CAS of the claim.
-		"PopTopN": {mustFence: true, mustCAS: true},
+		"PopTopHalf": {mustFence: true, mustCAS: true},
 	},
 }
 

@@ -88,7 +88,7 @@ func (d *ChaseLev) popBottomBatch(c *counters.Worker) bool {
 }
 
 // bad: the batched steal must pay the same fence + CAS as PopTop.
-func (d *ChaseLev) PopTopN(c *counters.Worker) bool { // want `ChaseLev.PopTopN must account counters.Fence` `ChaseLev.PopTopN must account counters.CAS`
+func (d *ChaseLev) PopTopHalf(c *counters.Worker) bool { // want `ChaseLev.PopTopHalf must account counters.Fence` `ChaseLev.PopTopHalf must account counters.CAS`
 	old := d.top.Load()
 	return d.top.CompareAndSwap(old, old+2) // want `CompareAndSwap without a preceding counters.CAS accounting`
 }

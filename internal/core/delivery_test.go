@@ -132,7 +132,7 @@ func TestIdleBackoffStaysAwakeAfterNotify(t *testing.T) {
 	defer s.Close()
 	victim, w := s.worker(0), s.worker(1)
 	tk := &Task{fn: func(*Worker) {}}
-	victim.dq.PushBottom(tk, victim.ctr) //lcws:presync single-threaded test; the pool has no job, so worker 0's goroutine is idle
+	victim.split.PushBottom(tk, victim.ctr) //lcws:presync single-threaded test; the pool has no job, so worker 0's goroutine is idle
 
 	w.idleSpins = idleSpinIters + idleYieldIters //lcws:presync single-threaded test
 	if got := w.stealOnce(); got != nil {
@@ -152,7 +152,7 @@ func TestIdleBackoffStaysAwakeAfterNotify(t *testing.T) {
 	if victim.dq.PopBottom(victim.ctr) != tk { //lcws:presync single-threaded test
 		t.Fatal("victim lost its task")
 	}
-	victim.dq.PopPublicBottom(victim.ctr) //lcws:presync single-threaded test; repairs the race-fix pop
+	victim.split.PopPublicBottom(victim.ctr) //lcws:presync single-threaded test; repairs the race-fix pop
 	victim.targeted.Store(false)
 	victim.pending.Store(false)
 	if got := w.stealOnce(); got != nil || w.victimPrivate {
@@ -179,7 +179,7 @@ func TestIdleBackoffSleepsWhenOversubscribed(t *testing.T) {
 	defer s.Close()
 	victim, w := s.worker(0), s.worker(1)
 	tk := &Task{fn: func(*Worker) {}}
-	victim.dq.PushBottom(tk, victim.ctr) //lcws:presync single-threaded test; the pool has no job, so worker 0's goroutine is idle
+	victim.split.PushBottom(tk, victim.ctr) //lcws:presync single-threaded test; the pool has no job, so worker 0's goroutine is idle
 
 	w.idleSpins = idleSpinIters + idleYieldIters //lcws:presync single-threaded test
 	if got := w.stealOnce(); got != nil || !w.victimPrivate {

@@ -101,8 +101,8 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 	if err := j.Wait(); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Wait after Close = %v, want ErrSchedulerClosed", err)
 	}
-	if err := s.RunCtx(context.Background(), func(w *Worker) {}); !errors.Is(err, ErrSchedulerClosed) {
-		t.Fatalf("RunCtx after Close = %v, want ErrSchedulerClosed", err)
+	if err := s.Submit(func(w *Worker) {}, WithJobCtx(context.Background())).Wait(); !errors.Is(err, ErrSchedulerClosed) {
+		t.Fatalf("Submit with a context after Close = %v, want ErrSchedulerClosed", err)
 	}
 }
 
@@ -345,9 +345,9 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := s.RunCtx(ctx, func(w *Worker) { t.Error("root of a pre-cancelled job ran") })
+	err := s.Submit(func(w *Worker) { t.Error("root of a pre-cancelled job ran") }, WithJobCtx(ctx)).Wait()
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx = %v, want context.Canceled", err)
+		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
 }
 
@@ -375,7 +375,7 @@ func TestCancellationUnwindsAtPoll(t *testing.T) {
 		select {
 		case err := <-errCh:
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("RunCtx = %v, want context.Canceled", err)
+				t.Fatalf("Wait = %v, want context.Canceled", err)
 			}
 		case <-time.After(20 * time.Second):
 			t.Fatal("cancellation did not unwind the spinning task")

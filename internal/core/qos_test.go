@@ -381,18 +381,3 @@ func TestCheckpointYieldHighPreemptsLow(t *testing.T) {
 		}
 	})
 }
-
-// --- Deprecated wrappers --------------------------------------------------
-
-func TestDeprecatedCtxWrappers(t *testing.T) {
-	s := newTestScheduler(WS, 2)
-	defer s.Close()
-	ran := false
-	if err := s.RunCtx(context.Background(), func(w *Worker) { ran = true }); err != nil || !ran {
-		t.Fatalf("RunCtx = %v, ran = %v", err, ran)
-	}
-	j := s.SubmitCtx(context.Background(), func(w *Worker) {})
-	if err := j.Wait(); err != nil {
-		t.Fatalf("SubmitCtx Wait = %v", err)
-	}
-}

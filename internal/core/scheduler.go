@@ -71,9 +71,9 @@ type Options struct {
 	// workers.
 	PollEvery int
 	// StealBatch opts into the batched steal-side mode: thieves claim up
-	// to half of a victim's public part with a single CAS (PopTopHalf /
-	// PopTopN), remember their last successful victim (sticky victim
-	// selection), and idle workers park on per-worker semaphores woken by
+	// to half of a victim's public part with a single CAS (PopTopHalf),
+	// remember their last successful victim (sticky victim selection),
+	// and idle workers park on per-worker semaphores woken by
 	// work-producing events instead of sleeping blind. The default
 	// (false) is the paper-faithful single-steal mode whose fence/CAS
 	// accounting matches internal/counters/model.go exactly; batch mode
@@ -143,9 +143,9 @@ func (o Options) withDefaults() Options {
 // while the paper's fork/steal fast paths stay byte-identical inside a
 // stable worker-set epoch.
 //
-// Jobs enter through an MPMC injector queue (Submit/SubmitCtx/Run) and
-// any number may run concurrently over the same pool; each Job carries
-// its own completion, error, and task accounting, and a panic or
+// Jobs enter through an MPMC injector queue (Submit/Run) and any
+// number may run concurrently over the same pool; each Job carries its
+// own completion, error, and task accounting, and a panic or
 // cancellation in one job drains that job's tasks without affecting
 // the others (see Job).
 //
@@ -359,26 +359,29 @@ func NewScheduler(opts Options) *Scheduler {
 	return s
 }
 
-// newTaskDeque builds one worker's deque per the pool's policy; used by
-// NewScheduler for the initial prefix and by initSlot when the pool
+// newTaskDeque builds one worker's deque per the pool's policy, and
+// returns it a second time as a split deque when it is one (nil under
+// WS); used by Worker.init for the initial prefix and when the pool
 // grows into a fresh slot.
-func newTaskDeque(opts Options) taskDeque {
+func newTaskDeque(opts Options) (taskDeque, *deque.SplitDeque[Task]) {
+	var sd *deque.SplitDeque[Task]
 	switch {
 	case opts.Policy.relaxedSteal():
 		// MultFree: the split deque with the relaxed claim cursor
 		// enabled (and the owner-side repair folded into its
 		// public-boundary operations).
-		return deque.NewSplitRelaxed[Task](opts.DequeCapacity, opts.MaxDequeCapacity, opts.Policy.raceFixPop())
+		sd = deque.NewSplitRelaxed[Task](opts.DequeCapacity, opts.MaxDequeCapacity, opts.Policy.raceFixPop())
 	case opts.Policy.SplitDeque():
 		// The split deque supports PopTopHalf as-is; batch mode only
 		// changes the owner discipline (reclaim via UnexposeAll, see
 		// Worker.popLocal).
-		return deque.NewSplitMax[Task](opts.DequeCapacity, opts.MaxDequeCapacity, opts.Policy.raceFixPop())
+		sd = deque.NewSplitMax[Task](opts.DequeCapacity, opts.MaxDequeCapacity, opts.Policy.raceFixPop())
 	case opts.StealBatch:
-		return chaseLevDeque{deque.NewChaseLevBatchMax[Task](opts.DequeCapacity, opts.MaxDequeCapacity)}
+		return deque.NewChaseLevBatchMax[Task](opts.DequeCapacity, opts.MaxDequeCapacity), nil
 	default:
-		return chaseLevDeque{deque.NewChaseLevMax[Task](opts.DequeCapacity, opts.MaxDequeCapacity)}
+		return deque.NewChaseLevMax[Task](opts.DequeCapacity, opts.MaxDequeCapacity), nil
 	}
+	return sd, sd
 }
 
 // Start spawns the resident worker goroutines if they are not running
@@ -463,14 +466,6 @@ func (s *Scheduler) Submit(root func(*Worker), opts ...SubmitOpt) *Job {
 		o(&cfg)
 	}
 	return s.submit(root, cfg)
-}
-
-// SubmitCtx is Submit with cancellation.
-//
-// Deprecated: use Submit with WithJobCtx, which composes with the
-// other submission options.
-func (s *Scheduler) SubmitCtx(ctx context.Context, root func(*Worker)) *Job {
-	return s.Submit(root, WithJobCtx(ctx))
 }
 
 func (s *Scheduler) submit(root func(*Worker), cfg submitConfig) *Job {
@@ -596,16 +591,6 @@ func (s *Scheduler) Run(root func(*Worker), opts ...SubmitOpt) {
 		}
 		panic(err)
 	}
-}
-
-// RunCtx is Run with cancellation and an error return instead of a
-// panic: it waits for the job and returns Job.Err (a *TaskPanic if a
-// task panicked, ctx's error if cancelled, nil on success).
-//
-// Deprecated: use Submit with WithJobCtx and Wait on the returned Job,
-// which composes with the other submission options.
-func (s *Scheduler) RunCtx(ctx context.Context, root func(*Worker)) error {
-	return s.Submit(root, WithJobCtx(ctx)).Wait()
 }
 
 // quiesce spins until no worker is inside its busy phase, provided the

@@ -13,15 +13,15 @@ func newBatchScheduler(p Policy, workers int) *Scheduler {
 	return NewScheduler(Options{Workers: workers, Policy: p, Seed: 42, StealBatch: true})
 }
 
-// publishOneTask pushes and exposes one no-op task. It is a Worker
-// method so the owner-only deque calls run on the owning receiver (the
-// owneronly contract); tests call it single-threaded before starting
-// any concurrent goroutines.
+// publishOneTask pushes and exposes one no-op task on a split-deque
+// worker. It is a Worker method so the owner-only deque calls run on
+// the owning receiver (the owneronly contract); tests call it
+// single-threaded before starting any concurrent goroutines.
 func (w *Worker) publishOneTask() {
 	task := w.newTask()
 	task.prepareFn(func(*Worker) {})
-	w.dq.PushBottom(task, w.ctr)
-	w.dq.Expose(w.policy.exposeMode(), w.ctr)
+	w.split.PushBottom(task, w.ctr)
+	w.split.Expose(w.policy.exposeMode(), w.ctr)
 }
 
 // TestFibStealBatchAllPolicies runs the recursive-fib spawn tree under

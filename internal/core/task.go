@@ -111,6 +111,10 @@ func (t *Task) isDone(want uint32) bool {
 	return int32(t.doneSeq.Load()-want) >= 0
 }
 
+// orphaned reports whether t belongs to an aborted job; every task
+// source discards such a task instead of running it.
+func (t *Task) orphaned() bool { return t.job != nil && t.job.aborted.Load() }
+
 // prepareFn arms t as a function task and returns the completion stamp
 // its join must wait for. The owner calls it between newTask and push;
 // the deque's publication protocol orders the write before any thief's
@@ -252,7 +256,7 @@ func (w *Worker) freeTask(t *Task) {
 	if t.recycled {
 		panic("core: double free of a scheduler task (recycling discipline violated)")
 	}
-	if w.relaxed && !w.dq.NeverExposed(t.pushStamp.Load()) {
+	if w.relaxed && !w.split.NeverExposed(t.pushStamp.Load()) {
 		// MultFree: a task that was ever exposed may still be referenced
 		// by a stale relaxed claimant — a thief that loaded the slot and
 		// is reading the task (its stamp, and fn for the idempotence
@@ -379,15 +383,16 @@ func (w *Worker) refillFreelist() bool {
 	return false
 }
 
-// taskDeque abstracts over the two deque types so a single worker loop
-// serves every policy. The WS baseline adapts the Chase-Lev deque: it has
-// no public/private split, so PopPublicBottom always fails and Expose is a
-// no-op.
+// taskDeque is what a worker needs from its deque under every policy:
+// the owner's push, pop and spill, the thieves' single and batched
+// claims, and the emptiness probes. Both deque types implement it
+// directly. The split deque's extra operations (exposure, public-part
+// reclaim, MultFree's relaxed claims and push stamps) are reached
+// through Worker.split, which is nil under WS.
 type taskDeque interface {
-	PushBottom(*Task, *counters.Worker)
-	// TryPushBottom pushes like PushBottom, growing the array as needed,
-	// but returns false instead of panicking when the deque is at its
-	// maximum capacity; the worker then spills via SpillOldest.
+	// TryPushBottom pushes, growing the array as needed, but returns
+	// false instead of panicking when the deque is at its maximum
+	// capacity; the worker then spills via SpillOldest.
 	TryPushBottom(*Task, *counters.Worker) bool
 	// SpillOldest removes up to len(out) of the OLDEST tasks (the
 	// steal-side end) into out, returning how many were taken. Owner-only.
@@ -395,30 +400,8 @@ type taskDeque interface {
 	// Capacity is the current (grown) task-array capacity in slots.
 	Capacity() int
 	PopBottom(*counters.Worker) *Task
-	PopPublicBottom(*counters.Worker) *Task
 	PopTop(*counters.Worker) (*Task, deque.StealResult)
 	PopTopHalf([]*Task, *counters.Worker) (int, deque.StealResult)
-	// TakeTopRelaxed is the MultFree fence- and CAS-free steal: plain
-	// read/write claim of the top task when the predicate reports it
-	// idempotent, exclusive-CAS fallback otherwise. The second callback
-	// returns the task's push stamp (an atomic read of Task.pushStamp),
-	// which the relaxed lane re-validates after every slot load.
-	// TakeTopHalfRelaxed is its batched (steal-half) composition. Only
-	// the split deque implements them; the WS baseline never relaxes.
-	TakeTopRelaxed(*deque.RelClaim, func(*Task) bool, func(*Task) uint64, *counters.Worker) (*Task, deque.StealResult)
-	TakeTopHalfRelaxed([]*Task, *deque.RelClaim, func(*Task) bool, func(*Task) uint64, *counters.Worker) (int, deque.StealResult)
-	// PushStamp and NeverExposed support the MultFree stamp validation
-	// and recycling gate: the owner stamps each forked task with the
-	// (epoch, index) it is pushed at, relaxed thieves validate slot reads
-	// against it, and at free time the owner recycles the task only if
-	// its stamp was never inside the public window (otherwise a stale
-	// relaxed claimant may still hold the descriptor and it is left to
-	// the GC). Owner-only.
-	PushStamp() uint64
-	NeverExposed(stamp uint64) bool
-	Expose(deque.ExposeMode, *counters.Worker) int
-	UnexposeAll(*counters.Worker) int
-	HasTwoTasks() bool
 	HasPublicWork() bool
 	IsEmpty() bool
 	// Teardown releases a grown task array back to the initial capacity,
@@ -429,36 +412,7 @@ type taskDeque interface {
 	Teardown()
 }
 
-// chaseLevDeque adapts deque.ChaseLev to the taskDeque interface.
-type chaseLevDeque struct {
-	*deque.ChaseLev[Task]
-}
-
-func (d chaseLevDeque) PopPublicBottom(*counters.Worker) *Task { return nil }
-
-func (d chaseLevDeque) Expose(deque.ExposeMode, *counters.Worker) int { return 0 }
-
-func (d chaseLevDeque) UnexposeAll(*counters.Worker) int { return 0 }
-
-func (d chaseLevDeque) HasTwoTasks() bool { return d.Size() >= 2 }
-
-func (d chaseLevDeque) PopTopHalf(buf []*Task, c *counters.Worker) (int, deque.StealResult) {
-	return d.PopTopN(buf, c)
-}
-
-func (d chaseLevDeque) TakeTopRelaxed(*deque.RelClaim, func(*Task) bool, func(*Task) uint64, *counters.Worker) (*Task, deque.StealResult) {
-	return nil, deque.Empty
-}
-
-func (d chaseLevDeque) TakeTopHalfRelaxed([]*Task, *deque.RelClaim, func(*Task) bool, func(*Task) uint64, *counters.Worker) (int, deque.StealResult) {
-	return 0, deque.Empty
-}
-
-func (d chaseLevDeque) PushStamp() uint64 { return 0 }
-
-func (d chaseLevDeque) NeverExposed(uint64) bool { return true }
-
 var (
-	_ taskDeque = chaseLevDeque{}
+	_ taskDeque = (*deque.ChaseLev[Task])(nil)
 	_ taskDeque = (*deque.SplitDeque[Task])(nil)
 )

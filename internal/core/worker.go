@@ -60,30 +60,31 @@ type Worker struct {
 	// by scheduler setup code before that goroutine exists). The
 	// immutable fields are set once in Worker.init; the owner fields
 	// mutate on the hot path under the receiver-context rule.
-	sched         *Scheduler       //lcws:field immutable
-	dq            taskDeque        //lcws:field immutable — owner/thief method split enforced by owneronly
-	ctr           *counters.Worker //lcws:field immutable
-	rand          *rng.Xoshiro256  //lcws:field immutable
-	freelist      *Task            //lcws:field owner — recycled tasks; see newTask/freeTask
-	freelistLen   int              //lcws:field owner — length of freelist; bounded by freelistBound
-	rec           *trace.Recorder  //lcws:field immutable — owner/thief method split enforced by owneronly; nil = tracing off
-	id            int              //lcws:field immutable
-	sinceYield    int              //lcws:field owner — tasks executed since the last cooperative yield
-	yieldEvery    int              //lcws:field immutable — cached Options.YieldEvery (0 = never)
-	idleSleep     time.Duration    //lcws:field owner — current idle-backoff sleep (0 = not sleeping yet)
-	pollCount     uint32           //lcws:field owner — Poll() call counter for the cheap fast path
-	pollEvery     uint32           //lcws:field immutable — Poll calls between pending-signal checks
-	idleSpins     uint32           //lcws:field owner — consecutive failed work-search iterations
-	victimPrivate bool             //lcws:field owner — the last steal attempt found its victim holding only private work
-	policy        Policy           //lcws:field immutable
-	batch         bool             //lcws:field immutable — cached Options.StealBatch
-	relaxed       bool             //lcws:field immutable — cached Policy.relaxedSteal (MultFree)
-	sticky        int32            //lcws:field owner — last successful victim id (-1 = none); batch mode only
-	freelistBound int              //lcws:field immutable — cached Options.FreelistBound
+	sched         *Scheduler              //lcws:field immutable
+	dq            taskDeque               //lcws:field immutable — owner/thief method split enforced by owneronly
+	split         *deque.SplitDeque[Task] //lcws:field immutable — dq's split deque, nil under WS; owner/thief method split enforced by owneronly
+	ctr           *counters.Worker        //lcws:field immutable
+	rand          *rng.Xoshiro256         //lcws:field immutable
+	freelist      *Task                   //lcws:field owner — recycled tasks; see newTask/freeTask
+	freelistLen   int                     //lcws:field owner — length of freelist; bounded by freelistBound
+	rec           *trace.Recorder         //lcws:field immutable — owner/thief method split enforced by owneronly; nil = tracing off
+	id            int                     //lcws:field immutable
+	sinceYield    int                     //lcws:field owner — tasks executed since the last cooperative yield
+	yieldEvery    int                     //lcws:field immutable — cached Options.YieldEvery (0 = never)
+	idleSleep     time.Duration           //lcws:field owner — current idle-backoff sleep (0 = not sleeping yet)
+	pollCount     uint32                  //lcws:field owner — Poll() call counter for the cheap fast path
+	pollEvery     uint32                  //lcws:field immutable — Poll calls between pending-signal checks
+	idleSpins     uint32                  //lcws:field owner — consecutive failed work-search iterations
+	victimPrivate bool                    //lcws:field owner — the last steal attempt found its victim holding only private work
+	policy        Policy                  //lcws:field immutable
+	batch         bool                    //lcws:field immutable — cached Options.StealBatch
+	relaxed       bool                    //lcws:field immutable — cached Policy.relaxedSteal (MultFree)
+	sticky        int32                   //lcws:field owner — last successful victim id (-1 = none); batch mode only
+	freelistBound int                     //lcws:field immutable — cached Options.FreelistBound
 
 	// Overflow-spill state: when the deque hits Options.MaxDequeCapacity,
 	// the owner moves its oldest tasks onto this unbounded private FIFO
-	// (linked through Task.next) and drains it back in next/busyPhase.
+	// (linked through Task.next) and drains it back in localWork.
 	// spilled, once set, relaxes the join's LIFO assertion — a spilled
 	// sibling comes back through the overflow drain instead of popLocal.
 	// spillBuf is the lazily-allocated SpillOldest scratch buffer.
@@ -155,11 +156,11 @@ const workerSlotPad = (cacheLineSize-unsafe.Sizeof(Worker{})%cacheLineSize)%cach
 
 // init populates a zeroed worker slot. It runs in NewScheduler, before
 // any worker goroutine exists.
-func (w *Worker) init(id int, s *Scheduler, dq taskDeque, opts Options) {
+func (w *Worker) init(id int, s *Scheduler, opts Options) {
 	w.id = id
 	w.sched = s
 	w.policy = opts.Policy
-	w.dq = dq
+	w.dq, w.split = newTaskDeque(opts)
 	w.ctr = s.ctrs.Worker(id)
 	w.rand = rng.New(opts.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
 	w.pollEvery = uint32(opts.PollEvery)
@@ -191,18 +192,18 @@ func (w *Worker) resetForRun() {
 	if w.rec != nil {
 		w.rec.ResetRun()
 	}
-	w.idleSpins = 0
-	w.idleSleep = 0
+	w.resetIdle()
 	w.pollCount = 0
 	w.sinceYield = 0
 	w.sticky = -1
-	if w.parkSem != nil {
-		// Drop a stale wakeup token from a previous Run's shutdown.
-		select {
-		case <-w.parkSem:
-		default:
-		}
-	}
+	w.dropWakeToken() // a stale token from a previous Run's shutdown
+}
+
+// resetIdle restarts the idle ladder; every loop that finds work calls
+// it.
+func (w *Worker) resetIdle() {
+	w.idleSpins = 0
+	w.idleSleep = 0
 }
 
 // ID returns the worker's scheduling identifier in [0, Workers()).
@@ -282,12 +283,13 @@ func (w *Worker) Checkpoint() {
 // update_public_bottom): it consumes the pending request and exposes
 // private work per the policy's exposure mode. Every delivery point —
 // Checkpoint, each push of Fork2 and forkRange, and each join — calls
-// it after one load of the pending word finds a request; WS never sets
-// that word, so for it the load is always false. Owner-only.
+// it after one load of the pending word finds a request; only the
+// signal-based policies set that word, and they all run on the split
+// deque (under WS the load is always false). Owner-only.
 func (w *Worker) handleSignal() {
 	w.pending.Store(false)
 	w.ctr.Inc(counters.SignalHandled)
-	n := w.dq.Expose(w.policy.exposeMode(), w.ctr)
+	n := w.split.Expose(w.policy.exposeMode(), w.ctr)
 	if w.rec != nil {
 		w.rec.SignalHandle(n, w.sigSendTs.Swap(0), w.reqTs.Swap(0))
 	}
@@ -544,10 +546,10 @@ func (w *Worker) push(t *Task) {
 		// thieves validate their fence-free slot reads against it, and
 		// the recycling gate (freeTask) checks it against the exposure
 		// high-water mark. Batch remnants do NOT come through here — the
-		// remnant landing loop (stealFromRelaxed) restamps them in the
+		// remnant landing loop (stealOnce) restamps them in the
 		// receiver's index domain with the sticky exposed bit set before
 		// calling pushNoTag.
-		t.pushStamp.Store(w.dq.PushStamp()) //lcws:presync written before the deque's release publication makes t visible to thieves
+		t.pushStamp.Store(w.split.PushStamp()) //lcws:presync written before the deque's release publication makes t visible to thieves
 	}
 	if sh := w.curShard; sh != nil {
 		sh.created++
@@ -680,14 +682,10 @@ func (w *Worker) popOverflow() *Task {
 func (w *Worker) nextOverflow() *Task {
 	for {
 		t := w.popOverflow()
-		if t == nil {
-			return nil
+		if t == nil || !t.orphaned() {
+			return t
 		}
-		if j := t.job; j != nil && j.aborted.Load() {
-			w.discard(t)
-			continue
-		}
-		return t
+		w.discard(t)
 	}
 }
 
@@ -701,7 +699,7 @@ func (w *Worker) popLocal() *Task {
 			// Listing 1 lines 9–12: handle the notification at the
 			// task boundary (USLCWS; Lace behaves the same way).
 			w.targeted.Store(false)
-			n := w.dq.Expose(w.policy.exposeMode(), w.ctr)
+			n := w.split.Expose(w.policy.exposeMode(), w.ctr)
 			if w.rec != nil {
 				w.rec.Exposed(n, w.reqTs.Swap(0))
 			}
@@ -710,6 +708,9 @@ func (w *Worker) popLocal() *Task {
 			}
 		}
 		return t
+	}
+	if !w.policy.SplitDeque() {
+		return nil // WS: the Chase-Lev deque has no public part of its own
 	}
 	if w.policy == LaceWS || w.batch || w.relaxed {
 		// Lace: reclaim the public part wholesale instead of draining it
@@ -727,7 +728,7 @@ func (w *Worker) popLocal() *Task {
 		// tag-bumped, so reclaimed indices re-expose under a new tag,
 		// which the claim protocol treats as fresh; the deque's own
 		// epoch-advancing reset — resetIndices — re-arms the memories).
-		if n := w.dq.UnexposeAll(w.ctr); n > 0 {
+		if n := w.split.UnexposeAll(w.ctr); n > 0 {
 			if w.rec != nil {
 				w.rec.Repair(n)
 			}
@@ -741,7 +742,7 @@ func (w *Worker) popLocal() *Task {
 		w.targeted.Store(false)
 		return nil
 	}
-	if t := w.dq.PopPublicBottom(w.ctr); t != nil {
+	if t := w.split.PopPublicBottom(w.ctr); t != nil {
 		if w.policy.SignalBased() {
 			// §4: a task was removed from the public part; allow new
 			// notifications.
@@ -775,7 +776,7 @@ func (w *Worker) join(rt *Task, want uint32) {
 			w.helpUntil(rt, want)
 			break
 		}
-		if j := t.job; j != nil && j.aborted.Load() {
+		if t.orphaned() {
 			// An orphan of an aborted job — possibly rt itself, or a
 			// task left above it by an unwound nested frame. Drain it
 			// (the discard stamps completion, so if it was rt the join
@@ -807,7 +808,7 @@ func (w *Worker) join(rt *Task, want uint32) {
 			w.helpUntil(rt, want)
 			break
 		}
-		if w.relaxed && t.fn == nil && !w.dq.NeverExposed(t.pushStamp.Load()) {
+		if w.relaxed && t.fn == nil && !w.split.NeverExposed(t.pushStamp.Load()) {
 			// MultFree: rt was exposed at some point, so a relaxed thief
 			// whose plain-write claim the repair could not yet see may
 			// hold it too (rt is own-forked — t == rt — so its push
@@ -849,6 +850,14 @@ var testHookAfterJoin func(*Worker, *Task)
 // from successfully — is probed first, falling back to random once the
 // sticky victim runs empty, so steal traffic follows where work actually
 // is instead of re-discovering it by sampling.
+//
+// The claim is one of four deque calls, all landing in stealBuf: the
+// single PopTop; with StealBatch, PopTopHalf, which claims up to half of
+// the victim's public part with one CAS; and under MultFree their
+// relaxed forms, which claim idempotent (range) tasks with plain
+// read/write operations through this thief's per-victim claim memory —
+// no fence, no CAS, at the cost of bounded multiplicity — and fall back
+// to the exclusive CAS for a non-idempotent task at the top.
 func (w *Worker) stealOnce() *Task {
 	// Victims come from the pinned worker-set snapshot: inside a stable
 	// epoch this is the one extra pointer load the elastic refactor is
@@ -876,31 +885,68 @@ func (w *Worker) stealOnce() *Task {
 	if w.rec != nil {
 		w.rec.StealAttempt(vid)
 	}
-	if w.relaxed {
-		return w.stealFromRelaxed(v, vid)
+	k := 1
+	var res deque.StealResult
+	switch {
+	case w.relaxed && w.batch:
+		k, res = v.split.TakeTopHalfRelaxed(w.stealBuf[:], &w.relClaims[vid], taskIsIdempotent, taskPushStamp, w.ctr)
+	case w.relaxed:
+		w.stealBuf[0], res = v.split.TakeTopRelaxed(&w.relClaims[vid], taskIsIdempotent, taskPushStamp, w.ctr)
+	case w.batch:
+		k, res = v.dq.PopTopHalf(w.stealBuf[:], w.ctr)
+	default:
+		w.stealBuf[0], res = v.dq.PopTop(w.ctr)
 	}
-	if w.batch {
-		return w.stealFromBatched(v, vid)
-	}
-	t, res := v.dq.PopTop(w.ctr)
 	switch res {
 	case deque.Stolen:
 		w.ctr.Inc(counters.StealSuccess)
+		if w.batch {
+			w.ctr.Add(counters.StealBatchTasks, uint64(k))
+			w.sticky = int32(vid)
+		}
 		if w.rec != nil {
-			w.rec.StealHit(vid, 1)
+			w.rec.StealHit(vid, k)
 		}
 		if w.policy.SignalBased() {
-			// §4: a task was removed from the victim's public part;
+			// §4: tasks were removed from the victim's public part;
 			// allow new notifications to it.
 			v.targeted.Store(false)
 		}
+		// The oldest task runs here; the remnant lands oldest-first in
+		// this worker's deque — its private part on the split deque, so
+		// landing costs no fences — so its LIFO pops run the remnant
+		// youngest-first, as the victim would have. Remnants keep their
+		// job tag and accounting.
+		t := w.stealBuf[0]
+		w.stealBuf[0] = nil
+		for i := 1; i < k; i++ {
+			r := w.stealBuf[i]
+			w.stealBuf[i] = nil
+			if w.relaxed {
+				// Restamp in THIS deque's index domain, for its thieves'
+				// slot validation, with the sticky exposed bit, so the
+				// origin forker's recycling gate keeps seeing "was
+				// exposed". The remnant is ours until pushNoTag; stale
+				// origin-side claimants fail their validation either way.
+				r.pushStamp.Store(w.split.PushStamp() | deque.StampExposed)
+			}
+			w.pushNoTag(r)
+		}
 		return t
 	case deque.PrivateWork:
+		// The victim holds work it hasn't exposed yet: stay sticky (the
+		// notification below will make it public) and ask for exposure.
 		w.ctr.Inc(counters.StealPrivate)
 		w.notify(v)
 	case deque.Abort:
+		// Lost the race, but the victim demonstrably has public work:
+		// stay sticky and retry.
 		w.ctr.Inc(counters.StealAbort)
 	case deque.Empty:
+		// A genuine miss: batch mode falls back to random selection.
+		if w.batch {
+			w.sticky = -1
+		}
 		w.ctr.Inc(counters.StealEmpty)
 	}
 	return nil
@@ -919,128 +965,6 @@ func taskIsIdempotent(t *Task) bool { return t.fn == nil }
 // descriptor its owner has recycled and re-stamped. A package-level
 // function value, like taskIsIdempotent, to keep the steal path noalloc.
 func taskPushStamp(t *Task) uint64 { return t.pushStamp.Load() }
-
-// stealFromRelaxed is the MultFree steal attempt against victim v:
-// idempotent (range) tasks are claimed with plain read/write operations
-// through the thief's per-victim monotone claim memory — no fence, no
-// CAS — at the cost of bounded multiplicity; a non-idempotent task at
-// the top falls back to the exclusive CAS claim inside TakeTopRelaxed.
-// With StealBatch the relaxed claim composes with steal-half: one cursor
-// store claims up to half of the victim's public prefix, and the remnant
-// lands in this worker's private part exactly as in stealFromBatched.
-func (w *Worker) stealFromRelaxed(v *Worker, vid int) *Task {
-	cl := &w.relClaims[vid]
-	if w.batch {
-		nTasks, res := v.dq.TakeTopHalfRelaxed(w.stealBuf[:], cl, taskIsIdempotent, taskPushStamp, w.ctr)
-		switch res {
-		case deque.Stolen:
-			w.ctr.Inc(counters.StealSuccess)
-			w.ctr.Add(counters.StealBatchTasks, uint64(nTasks))
-			if w.rec != nil {
-				w.rec.StealHit(vid, nTasks)
-			}
-			w.sticky = int32(vid)
-			v.targeted.Store(false) // §4: work left the victim's public part
-			t := w.stealBuf[0]
-			for i := 1; i < nTasks; i++ {
-				// Restamp the remnant in THIS deque's index domain before
-				// it lands here, with the sticky exposed bit: thieves of
-				// this deque must be able to validate their slot reads
-				// against the local (epoch, index), while the origin
-				// forker's recycling gate must keep seeing "was exposed"
-				// (a remnant was necessarily public at its origin) — the
-				// sticky bit makes NeverExposed false regardless of what
-				// the receiver-domain index would say about the origin
-				// deque. Safe to store plainly-before-publication: the
-				// remnant is exclusively ours between the batch claim and
-				// pushNoTag; stale origin-side claimants read the atomic
-				// stamp and fail their validation either way.
-				w.stealBuf[i].pushStamp.Store(w.dq.PushStamp() | deque.StampExposed)
-				w.pushNoTag(w.stealBuf[i])
-				w.stealBuf[i] = nil
-			}
-			w.stealBuf[0] = nil
-			return t
-		case deque.PrivateWork:
-			w.ctr.Inc(counters.StealPrivate)
-			w.notify(v)
-		case deque.Abort:
-			w.ctr.Inc(counters.StealAbort)
-		case deque.Empty:
-			w.sticky = -1
-			w.ctr.Inc(counters.StealEmpty)
-		}
-		return nil
-	}
-	t, res := v.dq.TakeTopRelaxed(cl, taskIsIdempotent, taskPushStamp, w.ctr)
-	switch res {
-	case deque.Stolen:
-		w.ctr.Inc(counters.StealSuccess)
-		if w.rec != nil {
-			w.rec.StealHit(vid, 1)
-		}
-		v.targeted.Store(false) // §4: a task left the victim's public part
-		return t
-	case deque.PrivateWork:
-		w.ctr.Inc(counters.StealPrivate)
-		w.notify(v)
-	case deque.Abort:
-		w.ctr.Inc(counters.StealAbort)
-	case deque.Empty:
-		w.ctr.Inc(counters.StealEmpty)
-	}
-	return nil
-}
-
-// stealFromBatched is the batch-mode steal attempt against victim v: it
-// claims up to half of v's public part with one CAS and lands the
-// remnant of the batch in this worker's own deque — the *private* part
-// for the split deque, so redistributing the batch costs no fences and
-// the batch is immediately shielded from other thieves. The oldest
-// (victim-top-most) task is returned for execution, mirroring the
-// steal-the-largest-subtree heuristic of the single steal; remnants are
-// pushed oldest-first so this worker's own LIFO pops them
-// youngest-first, exactly as the victim would have.
-func (w *Worker) stealFromBatched(v *Worker, vid int) *Task {
-	nTasks, res := v.dq.PopTopHalf(w.stealBuf[:], w.ctr)
-	switch res {
-	case deque.Stolen:
-		w.ctr.Inc(counters.StealSuccess)
-		w.ctr.Add(counters.StealBatchTasks, uint64(nTasks))
-		if w.rec != nil {
-			w.rec.StealHit(vid, nTasks)
-		}
-		w.sticky = int32(vid)
-		if w.policy.SignalBased() {
-			// §4: tasks were removed from the victim's public part;
-			// allow new notifications to it.
-			v.targeted.Store(false)
-		}
-		t := w.stealBuf[0]
-		for i := 1; i < nTasks; i++ {
-			// Remnants keep their original job tag and accounting; only
-			// their deque changes hands.
-			w.pushNoTag(w.stealBuf[i])
-			w.stealBuf[i] = nil
-		}
-		w.stealBuf[0] = nil
-		return t
-	case deque.PrivateWork:
-		// The victim holds work it hasn't exposed yet: stay sticky (the
-		// notification below will make it public) and ask for exposure.
-		w.ctr.Inc(counters.StealPrivate)
-		w.notify(v)
-	case deque.Abort:
-		// Lost the race, but the victim demonstrably has public work:
-		// stay sticky and retry.
-		w.ctr.Inc(counters.StealAbort)
-	case deque.Empty:
-		// A genuine miss: fall back to uniform random selection.
-		w.sticky = -1
-		w.ctr.Inc(counters.StealEmpty)
-	}
-	return nil
-}
 
 // notify asks victim v to expose work, per policy:
 // USLCWS sets the targeted flag unconditionally (Listing 1 line 22);
@@ -1062,14 +986,8 @@ func (w *Worker) notify(v *Worker) {
 	case USLCWS, LaceWS:
 		w.traceExposeReq(v)
 		v.targeted.Store(true)
-	case SignalLCWS, HalfLCWS, MultFree:
-		if v.targeted.CompareAndSwap(false, true) {
-			w.traceSignalSend(v)
-			v.pending.Store(true)
-			w.ctr.Inc(counters.SignalSent)
-		}
-	case ConsLCWS:
-		if v.dq.HasTwoTasks() && v.targeted.CompareAndSwap(false, true) {
+	case SignalLCWS, HalfLCWS, MultFree, ConsLCWS:
+		if (w.policy != ConsLCWS || v.split.HasTwoTasks()) && v.targeted.CompareAndSwap(false, true) {
 			w.traceSignalSend(v)
 			v.pending.Store(true)
 			w.ctr.Inc(counters.SignalSent)
@@ -1097,8 +1015,7 @@ func (w *Worker) traceSignalSend(v *Worker) {
 	if w.rec == nil {
 		return
 	}
-	ts := w.rec.ExposeRequest(v.id)
-	v.reqTs.CompareAndSwap(0, ts)
+	w.traceExposeReq(v)
 	v.sigSendTs.Store(w.rec.SignalSend(v.id))
 }
 
@@ -1149,10 +1066,7 @@ func (w *Worker) idleBackoff(mayBlock bool) {
 	case w.batch && mayBlock:
 		w.park()
 	default:
-		d := w.idleSleep
-		if d < idleSleepMin {
-			d = idleSleepMin
-		}
+		d := max(w.idleSleep, idleSleepMin)
 		var pstart int64
 		if w.rec != nil {
 			pstart = w.rec.ParkStart(0)
@@ -1163,11 +1077,7 @@ func (w *Worker) idleBackoff(mayBlock bool) {
 		if w.rec != nil {
 			w.rec.ParkEnd(0, pstart)
 		}
-		d *= 2
-		if d > idleSleepMax {
-			d = idleSleepMax
-		}
-		w.idleSleep = d
+		w.idleSleep = min(2*d, idleSleepMax)
 	}
 }
 
@@ -1190,36 +1100,51 @@ func (w *Worker) idleBackoff(mayBlock bool) {
 // when the pool parked), bounding worst-case steal latency at
 // idleSleepMax — exactly the old ladder's cap.
 func (w *Worker) park() {
-	// A stale token can linger from a wake that raced a previous
-	// timeout; drop it so it cannot satisfy this round's wait early.
-	// (No waker can be targeting this round yet: our bit is not set.)
-	select {
-	case <-w.parkSem:
-	default:
-	}
+	w.dropWakeToken()
 	w.sched.setParked(w.id)
 	if w.sched.closed.Load() || w.pending.Load() || w.anyPublicWork() {
 		w.sched.clearParked(w.id)
 		return
 	}
 	w.ctr.Inc(counters.ParkCount)
-	if w.parkTimer == nil {
-		w.parkTimer = time.NewTimer(idleSleepMax)
-	} else {
-		w.parkTimer.Reset(idleSleepMax)
-	}
 	var pstart int64
 	if w.rec != nil {
 		pstart = w.rec.ParkStart(1)
 	}
 	start := time.Now()
-	select {
-	case <-w.parkSem:
-	case <-w.parkTimer.C:
-	}
+	w.sleepParked(idleSleepMax)
 	w.ctr.Add(counters.ParkedNanos, uint64(time.Since(start)))
 	if w.rec != nil {
 		w.rec.ParkEnd(1, pstart)
+	}
+}
+
+// dropWakeToken discards a wakeup token left on the parking semaphore.
+// One can linger from a wake that raced a previous timeout; a parker
+// drops it before setting its park bit, so it cannot satisfy the new
+// round's wait early (no waker can target the round before the bit is
+// set).
+func (w *Worker) dropWakeToken() {
+	select {
+	case <-w.parkSem:
+	default:
+	}
+}
+
+// sleepParked is the blocking half of a park round, shared by the
+// in-job park and the between-jobs park of idlePhase: with this
+// worker's park bit set and the caller's re-check passed, it waits for
+// a waker's token or the timeout, whichever comes first, then clears
+// the bit.
+func (w *Worker) sleepParked(timeout time.Duration) {
+	if w.parkTimer == nil {
+		w.parkTimer = time.NewTimer(timeout)
+	} else {
+		w.parkTimer.Reset(timeout)
+	}
+	select {
+	case <-w.parkSem:
+	case <-w.parkTimer.C:
 	}
 	if !w.parkTimer.Stop() {
 		// Timer already fired; drain its channel if the wakeup came
@@ -1238,8 +1163,7 @@ func (w *Worker) park() {
 // re-homing their work through the orphan path, and a racy miss is
 // covered by the insurance timer like any other private-work chain.
 func (w *Worker) anyPublicWork() bool {
-	set := w.curSet
-	for i := range set.slots {
+	for i := range w.curSet.slots {
 		if i != w.id && w.sched.worker(i).dq.HasPublicWork() {
 			return true
 		}
@@ -1247,84 +1171,97 @@ func (w *Worker) anyPublicWork() bool {
 	return false
 }
 
-// next implements Listing 1's get_task for a fork's join point: it
-// serves scheduler work until the awaited task's completion stamp
-// reaches want, returning nil exactly when it has. Tasks of aborted
-// jobs are drained here (discarded, never returned), so a helping
-// worker cannot be handed a dead job's work. Threading the awaited
-// task instead of a stop closure keeps the fork join path
+// helpUntil implements Listing 1's get_task for a fork's join point: it
+// runs scheduler work until the awaited task's completion stamp reaches
+// want. Instead of blocking, the worker keeps executing local and stolen
+// tasks (work-first helping), so a stolen sibling's completion is
+// detected promptly and no worker idles while work exists. Threading
+// the awaited task instead of a stop closure keeps the fork join path
 // allocation-free (a captured predicate would heap-allocate per fork).
-// The top-level resident loop has its own acquisition loop (busyPhase)
-// — it additionally polls the injector, which join helping must not
-// (picking up a whole new job inside a join would reset the poll phase
-// and nest arbitrarily deep work under the waiter). The one deliberate
-// exception is the QoS preemption point inside Checkpoint: a queued
-// job of a strictly more urgent class whose stride turn has come runs
-// nested here too — that nesting is bounded by the class count and its
-// latency cost to the waiter is the point of the priority system.
-func (w *Worker) next(join *Task, want uint32) *Task {
-	for {
-		if join.isDone(want) {
-			return nil
-		}
+// Unlike the top-level resident loop (busyPhase), join helping does not
+// poll the injector: picking up a whole new job inside a join would
+// reset the poll phase and nest arbitrarily deep work under the waiter.
+// The one deliberate exception is the QoS preemption point inside
+// Checkpoint: a queued job of a strictly more urgent class whose stride
+// turn has come runs nested here too — that nesting is bounded by the
+// class count and its latency cost to the waiter is the point of the
+// priority system.
+func (w *Worker) helpUntil(join *Task, want uint32) {
+	for !join.isDone(want) {
 		w.Checkpoint()
-		if t := w.popLocal(); t != nil {
-			if j := t.job; j != nil && j.aborted.Load() {
-				w.discard(t)
-				continue
-			}
-			w.idleSpins = 0
-			w.idleSleep = 0
-			if w.rec != nil {
-				w.rec.LocalWork()
-			}
-			return t
+		// A spilled awaited task comes back through localWork's
+		// overflow drain, which runs it and stamps its completion.
+		t, found := w.localWork(false)
+		if !found {
+			t, found = w.stealWork()
 		}
-		// The deque is drained; run spilled tasks before stealing. rt
-		// itself may be here — a spilled sibling is executed (and its
-		// completion stamped) through this drain.
-		if t := w.nextOverflow(); t != nil {
-			w.idleSpins = 0
-			w.idleSleep = 0
-			return t
+		if t != nil {
+			w.runTask(t)
+		} else if !found {
+			// Joins never block: the awaited completion stamp is a plain
+			// store with no wakeup event attached.
+			w.idleBackoff(false)
 		}
-		if w.rec != nil && w.idleSpins == 0 {
-			// First fruitless local pop of this idle episode.
-			w.rec.DequeEmpty()
-		}
-		if w.policy.flagBased() {
-			// Listing 1 line 17: nothing local to expose; clear the
-			// notification before entering the stealing phase.
-			w.targeted.Store(false)
-		}
-		if t := w.stealOnce(); t != nil {
-			if j := t.job; j != nil && j.aborted.Load() {
-				w.discard(t)
-				continue
-			}
-			w.idleSpins = 0
-			w.idleSleep = 0
-			return t
-		}
-		// Joins never block: the awaited completion stamp is a plain
-		// store with no wakeup event attached.
-		w.idleBackoff(false)
 	}
 }
 
-// helpUntil runs scheduler work until the stop condition of
-// next(join, want) is reached. It is the join-side wait loop: instead
-// of blocking, the worker keeps executing local and stolen tasks
-// (work-first helping), so a stolen sibling's completion is detected
-// promptly and no worker idles while work exists.
-func (w *Worker) helpUntil(join *Task, want uint32) {
-	for {
-		t := w.next(join, want)
-		if t == nil {
-			return
+// localWork and stealWork are the work-search sequence of Listing 1's
+// get_task, shared by the join-help loop (helpUntil) and the resident
+// loop (busyPhase), which differ only in what runs between them (injector
+// pickup and retirement, top level only) and in how they exit. Each
+// returns found = true when it made progress: a task to run (t != nil),
+// or an aborted job's task discarded (t == nil), after which the caller
+// re-runs its loop checks. found = false means the source is dry.
+//
+// localWork takes one task from this worker's deque, then from its
+// overflow list: the deque is drained before spilled tasks run, and both
+// before this worker steals. With skipEmpty, popLocal is skipped on a
+// deque IsEmpty reports empty, which keeps busyPhase's idle iterations
+// free of counter writes (popLocal on an emptied split deque accounts
+// fences, perturbing the per-policy counting models with idle-loop
+// noise).
+func (w *Worker) localWork(skipEmpty bool) (t *Task, found bool) {
+	if !skipEmpty || !w.dq.IsEmpty() {
+		if t := w.popLocal(); t != nil {
+			if t.orphaned() {
+				w.discard(t)
+				return nil, true
+			}
+			w.resetIdle()
+			if w.rec != nil {
+				w.rec.LocalWork()
+			}
+			return t, true
 		}
-		w.runTask(t)
 	}
+	if t := w.nextOverflow(); t != nil {
+		w.resetIdle()
+		return t, true
+	}
+	return nil, false
+}
+
+// stealWork makes one steal attempt (see localWork).
+func (w *Worker) stealWork() (t *Task, found bool) {
+	if w.rec != nil && w.idleSpins == 0 {
+		// First fruitless local pop of this idle episode.
+		w.rec.DequeEmpty()
+	}
+	if w.policy.flagBased() {
+		// Listing 1 line 17: nothing local to expose; clear the
+		// notification before entering the stealing phase.
+		w.targeted.Store(false)
+	}
+	t = w.stealOnce()
+	if t == nil {
+		return nil, false
+	}
+	if t.orphaned() {
+		w.discard(t)
+		return nil, true
+	}
+	w.resetIdle()
+	return t, true
 }
 
 // residentLoop is a resident worker's top-level state machine: it
@@ -1386,53 +1323,29 @@ func (w *Worker) idlePhase() bool {
 		case spins <= idleSpinIters+idleYieldIters:
 			runtime.Gosched()
 		default:
-			w.deepPark()
+			// Park until a state change wakes the pool. Same Dekker
+			// ordering as the in-job park: the bit is set (seq-cst RMW)
+			// before the wake conditions are re-checked, and producers
+			// (Submit's inj.Push, settle, Close) publish their state
+			// change before wakeAll, so a submission cannot sleep
+			// through a fully parked pool. Unlike park, this records no
+			// counters or trace events — between-jobs idleness belongs
+			// to no job's profile.
+			w.dropWakeToken()
+			s.setParked(w.id)
+			if s.closed.Load() || s.activeJobs.Load() > 0 || !s.inj.Empty() {
+				s.clearParked(w.id)
+			} else {
+				w.sleepParked(deepParkInsurance)
+			}
 			if s.activeJobs.Load() == 0 && s.inj.Empty() && !s.closed.Load() {
-				// The deep park ran its full insurance window (or was
-				// woken spuriously) and the pool is still idle: sustained
+				// The park ran its full insurance window (or was woken
+				// spuriously) and the pool is still idle: sustained
 				// idleness, the elastic retire-on-idle trigger.
 				s.maybeRetireIdle()
 			}
 		}
 	}
-}
-
-// deepPark blocks an idle worker on its parking semaphore until a
-// state change wakes it (or the insurance timer fires). Same Dekker
-// ordering as the in-job park: the parker sets its bit (seq-cst RMW)
-// and re-checks the wake conditions; producers (Submit's inj.Push,
-// settle, Close) publish their state change and then wakeAll. One side
-// must observe the other, so a submission cannot sleep through a fully
-// parked pool. Unlike park, deepPark records no counters or trace
-// events — between-jobs idleness belongs to no job's profile.
-func (w *Worker) deepPark() {
-	s := w.sched
-	// Drop a stale token from a wake that raced a previous timeout.
-	select {
-	case <-w.parkSem:
-	default:
-	}
-	s.setParked(w.id)
-	if s.closed.Load() || s.activeJobs.Load() > 0 || !s.inj.Empty() {
-		s.clearParked(w.id)
-		return
-	}
-	if w.parkTimer == nil {
-		w.parkTimer = time.NewTimer(deepParkInsurance)
-	} else {
-		w.parkTimer.Reset(deepParkInsurance)
-	}
-	select {
-	case <-w.parkSem:
-	case <-w.parkTimer.C:
-	}
-	if !w.parkTimer.Stop() {
-		select {
-		case <-w.parkTimer.C:
-		default:
-		}
-	}
-	s.clearParked(w.id)
 }
 
 // busyPhase is the in-job work loop: the seed scheduler's helper loop
@@ -1463,78 +1376,41 @@ func (w *Worker) busyPhase() {
 			break
 		}
 		w.Checkpoint()
-		// The IsEmpty pre-check keeps the between-work iterations
-		// counter-free: popLocal on a definitely-empty deque would
-		// still account fences for some policies, perturbing the
-		// per-policy counting models with idle-loop noise.
-		if !w.dq.IsEmpty() {
-			if t := w.popLocal(); t != nil {
-				if j := t.job; j != nil && j.aborted.Load() {
-					w.discard(t)
-					continue
+		// Local and spilled work run before new jobs are picked up or
+		// victims robbed (spilled tasks also gate the exit check above,
+		// so a worker never parks — or leaves the busy phase — holding
+		// them).
+		t, found := w.localWork(true)
+		if !found {
+			if w.retiring() {
+				// Shrunk out of the live set: finish draining local work
+				// (loop back for it) but pick up nothing new — no
+				// injector jobs, no steals — so the slot quiesces and
+				// idlePhase can complete retirement. Thieves and the
+				// orphan path re-home whatever this deque still exposes.
+				if w.dq.IsEmpty() {
+					break
 				}
-				w.idleSpins = 0
-				w.idleSleep = 0
-				if w.rec != nil {
-					w.rec.LocalWork()
-				}
-				w.runTask(t)
 				continue
 			}
-		}
-		// The deque is drained; run spilled tasks before picking up new
-		// jobs or stealing (they also gate the exit check above, so a
-		// worker never parks — or leaves the busy phase — holding
-		// spilled work).
-		if t := w.nextOverflow(); t != nil {
-			w.idleSpins = 0
-			w.idleSleep = 0
-			w.runTask(t)
-			continue
-		}
-		if w.retiring() {
-			// Shrunk out of the live set: finish draining local work
-			// (loop back for it) but pick up nothing new — no injector
-			// jobs, no steals — so the slot quiesces and idlePhase can
-			// complete retirement. Thieves and the orphan path re-home
-			// whatever this deque still exposes.
-			if w.dq.IsEmpty() {
-				break
-			}
-			continue
-		}
-		if j, ok := s.inj.TryPop(); ok {
-			w.idleSpins = 0
-			w.idleSleep = 0
-			w.startJob(j)
-			continue
-		}
-		if s.activeJobs.Load() == 0 {
-			// Either orphans of failed jobs remain (loop back to drain
-			// them through the popLocal/discard path above) or the
-			// deque is empty and the top-of-loop check exits.
-			continue
-		}
-		if w.rec != nil && w.idleSpins == 0 {
-			// First fruitless local pop of this idle episode.
-			w.rec.DequeEmpty()
-		}
-		if w.policy.flagBased() {
-			// Listing 1 line 17: nothing local to expose; clear the
-			// notification before entering the stealing phase.
-			w.targeted.Store(false)
-		}
-		if t := w.stealOnce(); t != nil {
-			if j := t.job; j != nil && j.aborted.Load() {
-				w.discard(t)
+			if j, ok := s.inj.TryPop(); ok {
+				w.resetIdle()
+				w.startJob(j)
 				continue
 			}
-			w.idleSpins = 0
-			w.idleSleep = 0
-			w.runTask(t)
-			continue
+			if s.activeJobs.Load() == 0 {
+				// Either orphans of failed jobs remain (loop back to
+				// drain them through localWork) or the deque is empty
+				// and the top-of-loop check exits.
+				continue
+			}
+			t, found = w.stealWork()
 		}
-		w.idleBackoff(true)
+		if t != nil {
+			w.runTask(t)
+		} else if !found {
+			w.idleBackoff(true)
+		}
 	}
 	w.unpin()
 	s.busy.Add(-1)
@@ -1562,8 +1438,7 @@ func (w *Worker) startJob(j *Job) {
 	}
 	w.pollCount = 0
 	w.sinceYield = 0
-	w.idleSpins = 0
-	w.idleSleep = 0
+	w.resetIdle()
 	w.pin() // run the job against the freshest worker-set snapshot
 	if sh := w.shardOf(j); sh != nil {
 		sh.created++ // the root task counts toward the job's accounting

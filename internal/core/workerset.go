@@ -310,7 +310,7 @@ func (s *Scheduler) resizeLocked(n int) {
 // in any snapshot, so the plain writes are ordered by the set
 // publication exactly as NewScheduler's are by the constructor.
 func (s *Scheduler) initSlot(i int) {
-	s.workers[i].w.init(i, s, newTaskDeque(s.opts), s.opts)
+	s.workers[i].w.init(i, s, s.opts)
 }
 
 // spawnWorker starts slot w's resident goroutine. Caller holds
@@ -329,13 +329,9 @@ func (s *Scheduler) spawnWorker(w *Worker) {
 // and the idle ladder. Runs on the slot's new goroutine before its
 // resident loop, so the writes are owner writes.
 func (w *Worker) onSpawn() {
-	select {
-	case <-w.parkSem:
-	default:
-	}
+	w.dropWakeToken()
 	w.sticky = -1
-	w.idleSpins = 0
-	w.idleSleep = 0
+	w.resetIdle()
 }
 
 // maybeGrow is Submit's demand probe: if the injector backlog outruns

@@ -62,7 +62,7 @@ const (
 	// TaskPushed counts pushBottom calls.
 	TaskPushed
 	// StealBatchTasks counts tasks transferred by batched steal
-	// operations (PopTopN / PopTopHalf): a batched steal claiming n
+	// operations (PopTopHalf on either deque): a batched steal claiming n
 	// tasks adds n here and 1 to StealSuccess, so the ratio of the two
 	// is the average claimed batch size. Zero in single-steal mode.
 	StealBatchTasks

@@ -279,7 +279,7 @@ func TestChaseLevBatchSequentialModel(t *testing.T) {
 				model = model[1:]
 			default: // batched steal
 				var buf [4]*int
-				n, res := d.PopTopN(buf[:], c)
+				n, res := d.PopTopHalf(buf[:], c)
 				if len(model) == 0 {
 					if res != Empty || n != 0 {
 						return false
@@ -341,9 +341,9 @@ func TestChaseLevBatchAccounting(t *testing.T) {
 	}
 	baseF, baseC = c.Get(counters.Fence), c.Get(counters.CAS)
 	var buf [8]*int
-	n, res := d.PopTopN(buf[:], c)
+	n, res := d.PopTopHalf(buf[:], c)
 	if res != Stolen || n != 2 {
-		t.Fatalf("PopTopN = %d,%v; want 2,Stolen", n, res)
+		t.Fatalf("PopTopHalf = %d,%v; want 2,Stolen", n, res)
 	}
 	if got := c.Get(counters.Fence) - baseF; got != counters.WSStealFences {
 		t.Errorf("batched steal cost %d fences, want %d", got, counters.WSStealFences)
@@ -355,8 +355,8 @@ func TestChaseLevBatchAccounting(t *testing.T) {
 	for d.PopBottom(c) != nil {
 	}
 	baseF, baseC = c.Get(counters.Fence), c.Get(counters.CAS)
-	if n, res := d.PopTopN(buf[:], c); res != Empty || n != 0 {
-		t.Fatalf("PopTopN on empty = %d,%v; want 0,Empty", n, res)
+	if n, res := d.PopTopHalf(buf[:], c); res != Empty || n != 0 {
+		t.Fatalf("PopTopHalf on empty = %d,%v; want 0,Empty", n, res)
 	}
 	if got := c.Get(counters.Fence) - baseF; got != counters.WSStealFences {
 		t.Errorf("empty batched steal cost %d fences, want %d", got, counters.WSStealFences)
@@ -375,9 +375,9 @@ func TestPopTopNStockDegradesToSingleSteal(t *testing.T) {
 		d.PushBottom(p, c)
 	}
 	var buf [4]*int
-	n, res := d.PopTopN(buf[:], c)
+	n, res := d.PopTopHalf(buf[:], c)
 	if res != Stolen || n != 1 || *buf[0] != 0 {
-		t.Fatalf("stock PopTopN = %d,%v; want single-task claim of 0", n, res)
+		t.Fatalf("stock PopTopHalf = %d,%v; want single-task claim of 0", n, res)
 	}
 }
 
@@ -393,7 +393,7 @@ func TestChaseLevBatchWraparound(t *testing.T) {
 			d.PopBottom(c)
 		}
 		if i%7 == 0 {
-			d.PopTopN(buf[:], c)
+			d.PopTopHalf(buf[:], c)
 		}
 		for d.Size() > 4 {
 			d.PopBottom(c)
@@ -426,7 +426,7 @@ func TestChaseLevBatchConcurrentSteals(t *testing.T) {
 			c := newCtr()
 			var buf [8]*int
 			for {
-				n, res := d.PopTopN(buf[:], c)
+				n, res := d.PopTopHalf(buf[:], c)
 				if res == Stolen {
 					for i := 0; i < n; i++ {
 						counts[th][*buf[i]]++
@@ -434,7 +434,7 @@ func TestChaseLevBatchConcurrentSteals(t *testing.T) {
 				}
 				select {
 				case <-stop:
-					if n, _ := d.PopTopN(buf[:], c); n == 0 && d.IsEmpty() {
+					if n, _ := d.PopTopHalf(buf[:], c); n == 0 && d.IsEmpty() {
 						return
 					}
 				default:

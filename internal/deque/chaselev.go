@@ -85,7 +85,7 @@ func NewChaseLevMax[T any](capacity, maxCapacity int) *ChaseLev[T] {
 }
 
 // NewChaseLevBatch returns a ChaseLev deque that supports multi-task
-// steals through PopTopN (Options.StealBatch mode).
+// steals through PopTopHalf (Options.StealBatch mode).
 //
 // A plain int64 top cannot support batched claims: the stock owner pop
 // only CASes top when racing for the last element, so a stalled thief
@@ -362,7 +362,7 @@ func (d *ChaseLev[T]) popBottomBatch(c *counters.Worker) *T {
 func (d *ChaseLev[T]) PopTop(c *counters.Worker) (*T, StealResult) {
 	if d.batched {
 		var buf [1]*T
-		n, res := d.PopTopN(buf[:], c)
+		n, res := d.PopTopHalf(buf[:], c)
 		if n > 0 {
 			return buf[0], res
 		}
@@ -383,7 +383,7 @@ func (d *ChaseLev[T]) PopTop(c *counters.Worker) (*T, StealResult) {
 	return nil, Abort
 }
 
-// PopTopN attempts to steal up to half of the deque (rounded up, capped
+// PopTopHalf attempts to steal up to half of the deque (rounded up, capped
 // at len(buf)) with one CAS on the age word, writing the stolen tasks
 // into buf top-first and returning how many were claimed. It requires a
 // deque built by NewChaseLevBatch; on a stock deque it degrades to a
@@ -393,9 +393,9 @@ func (d *ChaseLev[T]) PopTop(c *counters.Worker) (*T, StealResult) {
 // CAS when the deque was non-empty.
 //
 //lcws:noalloc
-func (d *ChaseLev[T]) PopTopN(buf []*T, c *counters.Worker) (int, StealResult) {
+func (d *ChaseLev[T]) PopTopHalf(buf []*T, c *counters.Worker) (int, StealResult) {
 	if len(buf) == 0 {
-		panic("deque: PopTopN requires a non-empty batch buffer")
+		panic("deque: PopTopHalf requires a non-empty batch buffer")
 	}
 	if !d.batched {
 		t, res := d.PopTop(c)

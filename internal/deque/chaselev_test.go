@@ -322,7 +322,7 @@ func TestChaseLevClearsDeadSlots(t *testing.T) {
 				}
 				var buf [2]*int
 				steal := func() StealResult {
-					n, res := d.PopTopN(buf[:], c)
+					n, res := d.PopTopHalf(buf[:], c)
 					for _, got := range buf[:n] {
 						if got == nil || *got != model[0] {
 							t.Fatalf("steal = %v, want %d", got, model[0])

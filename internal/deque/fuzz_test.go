@@ -187,10 +187,10 @@ func FuzzChaseLevOwnerOps(f *testing.F) {
 				model = model[1:]
 			case 'n': // batched steal (single-threaded: deterministic)
 				var buf [4]*int
-				n, res := d.PopTopN(buf[:], c)
+				n, res := d.PopTopHalf(buf[:], c)
 				if len(model) == 0 {
 					if res != Empty || n != 0 {
-						t.Fatalf("PopTopN on empty = %d,%v", n, res)
+						t.Fatalf("PopTopHalf on empty = %d,%v", n, res)
 					}
 					continue
 				}
@@ -202,11 +202,11 @@ func FuzzChaseLevOwnerOps(f *testing.F) {
 					}
 				}
 				if res != Stolen || n != want {
-					t.Fatalf("PopTopN = %d,%v, model wants Stolen %d", n, res, want)
+					t.Fatalf("PopTopHalf = %d,%v, model wants Stolen %d", n, res, want)
 				}
 				for i := 0; i < n; i++ {
 					if buf[i] == nil || *buf[i] != model[i] {
-						t.Fatalf("PopTopN buf[%d] = %v, model wants %d", i, buf[i], model[i])
+						t.Fatalf("PopTopHalf buf[%d] = %v, model wants %d", i, buf[i], model[i])
 					}
 				}
 				model = model[n:]

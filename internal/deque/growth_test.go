@@ -387,7 +387,7 @@ func TestChaseLevGrowthRacesThieves(t *testing.T) {
 				var batch [4]*int
 				for {
 					if batched {
-						n, res := d.PopTopN(batch[:], c)
+						n, res := d.PopTopHalf(batch[:], c)
 						if res == Stolen {
 							for i := 0; i < n; i++ {
 								counts[th][*batch[i]]++

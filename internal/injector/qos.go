@@ -1,3 +1,19 @@
+// Package injector provides QoS, the MPMC submission queue that carries
+// externally submitted jobs into the resident worker pool: NumClasses
+// mutex-sharded per-class queues with stride (weighted-fair) pickup
+// between and within classes, plus per-class bounded admission.
+// Submission is an off-hot-path operation (once per job, not once per
+// task), so the deque-style lock-free machinery in internal/deque would
+// buy nothing and cost a second verification surface.
+//
+// What the executor needs from the queue is a cheap, *atomic* emptiness
+// probe that idle workers can poll without taking a lock and —
+// crucially — that participates in the parking lot's Dekker-style
+// no-lost-wakeup protocol: a submitter publishes (Push updates the
+// aggregate atomic length under a shard lock) and then scans the park
+// bitset, while a parking worker sets its park bit and then re-checks
+// Empty. One of the two must observe the other, regardless of which
+// class shard the job landed in.
 package injector
 
 import (
@@ -28,14 +44,9 @@ const strideScale = 1 << 20
 // pickups in proportion to their weights), and a min-heap serves the
 // smallest finish time first.
 //
-// Like the plain Queue it replaces at the scheduler's injector
-// position, QoS keeps a single aggregate size word so the parking
-// lot's Dekker-style no-lost-wakeup protocol still needs only one
-// atomic emptiness probe: Push publishes the size increment before the
-// submitter scans the park bitset, and a parking worker sets its park
-// bit before re-checking Empty — one of the two must observe the
-// other, exactly as before, regardless of which class shard the job
-// landed in.
+// QoS keeps a single aggregate size word so the parking lot's
+// Dekker-style no-lost-wakeup protocol needs only one atomic emptiness
+// probe (see the package comment).
 //
 // Bounded admission rides on the shards: a class constructed with a
 // capacity holds a semaphore channel of that many slots, each queued
@@ -343,8 +354,7 @@ func (q *QoS[T]) ClassLen(c int) int {
 
 // Empty reports whether every shard is empty. It is a single atomic
 // load, ordered after Push's aggregate-size publication, so it is safe
-// to use in the park/submit Dekker handshake exactly like the plain
-// Queue's Empty.
+// to use in the park/submit Dekker handshake.
 func (q *QoS[T]) Empty() bool { return q.size.Load() == 0 }
 
 // setReady ors bit into the ready mask (Go 1.22 has no atomic Or on

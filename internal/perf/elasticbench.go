@@ -164,7 +164,7 @@ func MeasureElastic(pol lcws.Policy, idleWindow time.Duration) ElasticResult {
 	// Phase 2: back to the resident target, then a demand burst. The
 	// sampler watches the live count while the backlog drains.
 	must(s.SetWorkers(ElasticResident))
-	stBefore := lcws.StatsOf(s)
+	stBefore := s.Stats()
 	stopSample := make(chan struct{})
 	peakCh := make(chan int, 1)
 	go func() {
@@ -192,7 +192,7 @@ func MeasureElastic(pol lcws.Policy, idleWindow time.Duration) ElasticResult {
 	}
 	close(stopSample)
 	res.PeakWorkers = <-peakCh
-	stBurst := lcws.StatsOf(s)
+	stBurst := s.Stats()
 	res.BurstPoolGrows = stBurst.PoolGrows - stBefore.PoolGrows
 
 	// Phase 3: retire-on-idle — wait (bounded by the idle window) for
@@ -212,7 +212,7 @@ func MeasureElastic(pol lcws.Policy, idleWindow time.Duration) ElasticResult {
 	cpu0 := processCPUNs()
 	time.Sleep(idleWindow)
 	cpu1 := processCPUNs()
-	stQuiet := lcws.StatsOf(s)
+	stQuiet := s.Stats()
 	if cpu0 >= 0 && cpu1 >= cpu0 {
 		res.IdleCPUNs = cpu1 - cpu0
 		res.IdleCPUFrac = float64(res.IdleCPUNs) / float64(idleWindow.Nanoseconds())
@@ -229,7 +229,7 @@ func MeasureElastic(pol lcws.Policy, idleWindow time.Duration) ElasticResult {
 		res.RegrowRatio = float64(res.RegrowNs) / float64(res.BaselineNs)
 	}
 
-	st := lcws.StatsOf(s)
+	st := s.Stats()
 	res.PoolGrows = st.PoolGrows
 	res.WorkersRetired = st.WorkersRetired
 	res.Resizes = st.Resizes

@@ -57,7 +57,7 @@ const (
 	EvStealAttempt
 	// EvStealHit is a successful steal from victim Arg; Arg2 is the
 	// number of tasks claimed (1 for single steals, the batch size for
-	// PopTopHalf/PopTopN claims).
+	// PopTopHalf claims).
 	EvStealHit
 	// EvExposeReq records that the recording thief set victim Arg's
 	// targeted flag, asking it to expose work.

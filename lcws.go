@@ -355,17 +355,6 @@ func ParFor(ctx *Ctx, lo, hi, grain int, body func(ctx *Ctx, i int)) {
 //	delta := s.Stats().Sub(before)
 type Stats = core.Stats
 
-// StatsOf returns the counters accumulated by s since its creation or the
-// last reset.
-//
-// Deprecated: use the Scheduler.Stats method instead.
-func StatsOf(s *Scheduler) Stats { return s.Stats() }
-
-// ResetStats zeroes s's counters and latency histograms.
-//
-// Deprecated: use the Scheduler.ResetStats method instead.
-func ResetStats(s *Scheduler) { s.ResetStats() }
-
 // Histogram is a power-of-two-bucketed latency histogram in nanoseconds
 // with Mean/Quantile accessors; Stats and Trace expose the scheduler's
 // derived latencies as Histograms.
