@@ -33,10 +33,13 @@ vet: lcwsvet
 census: lcwsvet
 	$(BIN)/lcwsvet -report ANALYSIS.json ./...
 
-# Race-detector smoke of the scheduler core and injector at the two
-# interesting parallelism extremes: P=2 maximizes owner/thief
-# interleaving on one victim, P=8 exercises the multi-victim paths.
+# Race-detector smoke of the scheduler core and injector at the
+# interesting parallelism points: P=1 makes a counter reader spinning in
+# quiesce share the only processor with the workers it waits for, P=2
+# maximizes owner/thief interleaving on one victim, P=8 exercises the
+# multi-victim paths.
 race-matrix:
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/core ./internal/injector
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/core ./internal/injector
 	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'TestMultFree' ./internal/core

@@ -274,7 +274,7 @@ func TestDemandGrowth(t *testing.T) {
 	})
 	release.Store(true)
 	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
+		if err := waitBounded(t, s, j); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +303,7 @@ func TestIdleRetirement(t *testing.T) {
 	})
 	release.Store(true)
 	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
+		if err := waitBounded(t, s, j); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestElasticTraceEvents(t *testing.T) {
 		t.Error("no EvRetire event in snapshot taken before reclamation")
 	}
 	release.Store(true)
-	if err := blocker.Wait(); err != nil {
+	if err := waitBounded(t, s, blocker); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(func(w *Worker) { _ = fib(w, 10) })

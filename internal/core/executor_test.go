@@ -21,7 +21,7 @@ func TestSubmitWaitBasic(t *testing.T) {
 		defer s.Close()
 		var got int
 		j := s.Submit(func(w *Worker) { got = fib(w, 16) })
-		if err := j.Wait(); err != nil {
+		if err := waitBounded(t, s, j); err != nil {
 			t.Fatalf("Wait = %v", err)
 		}
 		if got != 987 {
@@ -98,10 +98,10 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 		t.Fatalf("Close = %v", err)
 	}
 	j := s.Submit(func(w *Worker) { t.Error("root of a rejected job ran") })
-	if err := j.Wait(); !errors.Is(err, ErrSchedulerClosed) {
+	if err := waitBounded(t, s, j); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Wait after Close = %v, want ErrSchedulerClosed", err)
 	}
-	if err := s.Submit(func(w *Worker) {}, WithJobCtx(context.Background())).Wait(); !errors.Is(err, ErrSchedulerClosed) {
+	if err := waitBounded(t, s, s.Submit(func(w *Worker) {}, WithJobCtx(context.Background()))); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Submit with a context after Close = %v, want ErrSchedulerClosed", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 		t.Fatalf("Close = %v", err)
 	}
 	for i, j := range handles {
-		if err := j.Wait(); err != nil {
+		if err := waitBounded(t, s, j); err != nil {
 			t.Fatalf("job %d: Wait = %v", i, err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestPanicFailsOnlyItsJob(t *testing.T) {
 			}
 		})
 	})
-	err := bad.Wait()
+	err := waitBounded(t, s, bad)
 	var tp *TaskPanic
 	if !errors.As(err, &tp) {
 		t.Fatalf("failed job's Wait = %v, want *TaskPanic", err)
@@ -280,7 +280,7 @@ func TestPanicFailsOnlyItsJob(t *testing.T) {
 		t.Fatalf("TaskPanic.Value = %v", tp.Value)
 	}
 	close(release)
-	if err := healthy.Wait(); err != nil {
+	if err := waitBounded(t, s, healthy); err != nil {
 		t.Fatalf("healthy job's Wait = %v", err)
 	}
 	if got != 144 {
@@ -304,7 +304,7 @@ func TestFailedJobDiscardAccounting(t *testing.T) {
 			}
 		})
 	})
-	if err := j.Wait(); err == nil {
+	if err := waitBounded(t, s, j); err == nil {
 		t.Fatal("failed job's Wait = nil")
 	}
 	// Pool healthy and counters consistent afterwards.
@@ -345,7 +345,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := s.Submit(func(w *Worker) { t.Error("root of a pre-cancelled job ran") }, WithJobCtx(ctx)).Wait()
+	err := waitBounded(t, s, s.Submit(func(w *Worker) { t.Error("root of a pre-cancelled job ran") }, WithJobCtx(ctx)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
@@ -399,7 +399,7 @@ func TestCancelMidJob(t *testing.T) {
 	}, WithJobCtx(ctx))
 	<-entered
 	cancel()
-	if err := j.Wait(); !errors.Is(err, context.Canceled) {
+	if err := waitBounded(t, s, j); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
 	// The pool must remain healthy for subsequent jobs.
@@ -419,7 +419,7 @@ func TestCancelBeforePickupDiscardsRoot(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		j := s.Submit(func(w *Worker) {}, WithJobCtx(ctx))
 		cancel()
-		err := j.Wait()
+		err := waitBounded(t, s, j)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("iteration %d: Wait = %v, want nil or context.Canceled", i, err)
 		}
@@ -480,11 +480,11 @@ func TestTraceJobSpansAndEventTags(t *testing.T) {
 	})
 	defer s.Close()
 	j1 := s.Submit(func(w *Worker) { fib(w, 10) })
-	if err := j1.Wait(); err != nil {
+	if err := waitBounded(t, s, j1); err != nil {
 		t.Fatal(err)
 	}
 	j2 := s.Submit(func(w *Worker) { fib(w, 10) })
-	if err := j2.Wait(); err != nil {
+	if err := waitBounded(t, s, j2); err != nil {
 		t.Fatal(err)
 	}
 	tr := s.TraceSnapshot()

@@ -137,12 +137,12 @@ func (j *Job) Err() error { return j.err }
 // after Wait/Done. When several jobs overlap in time the scheduler-wide
 // Stats deltas mix their work; per-job task counts here stay exact for
 // successful jobs. For failed jobs Discarded reflects the drains
-// observed so far: orphans can trail settlement, so the count grows
-// until the pool has quiesced (it is complete after Wait on an
-// otherwise-idle scheduler).
+// observed so far: orphans can trail settlement, so Stats quiesces the
+// pool first (complete on an otherwise-idle scheduler).
 func (j *Job) Stats() JobStats {
 	st := j.stats
 	if j.err != nil {
+		j.sched.quiesce()
 		if d := j.drained.Load(); d > st.Discarded {
 			st.Discarded = d
 		}
@@ -150,12 +150,11 @@ func (j *Job) Stats() JobStats {
 	return st
 }
 
-// Wait blocks until the job settles and returns Err. After Wait
-// returns on an otherwise-idle scheduler, the pool has quiesced enough
-// that Scheduler.Stats/Counters reads are exact (see quiesce).
+// Wait blocks until the job settles and returns Err. Workers still
+// leaving their busy phase do not delay it: Scheduler.Stats/Counters
+// wait for them instead (see quiesce), so they stay exact after Wait.
 func (j *Job) Wait() error {
 	<-j.done
-	j.sched.quiesce()
 	return j.err
 }
 
@@ -211,11 +210,11 @@ func (j *Job) settle() {
 		}
 		s.recordJobSpan(j, err != nil)
 		// Drop the executor's reference count before waking waiters:
-		// Wait's quiesce spins only while activeJobs is zero, so if done
-		// were closed first a waiter could observe this settled job still
-		// counted active, skip quiescing, and read counters while workers
-		// are mid-steal. The settling worker is still inside busyPhase
-		// (busy > 0), so quiesce waits for every in-flight worker anyway.
+		// quiesce spins only while activeJobs is zero, so if done were
+		// closed first a Stats after Wait could observe this settled job
+		// still counted active, skip quiescing, and read counters while
+		// workers are mid-steal. The settling worker is still inside
+		// busyPhase (busy > 0), so quiesce waits for every worker anyway.
 		s.activeJobs.Add(-1)
 		close(j.done)
 		s.wakeAll()

@@ -30,7 +30,7 @@ func gatedScheduler(t *testing.T, opts Options) (*Scheduler, func()) {
 	var relOnce sync.Once
 	release := func() {
 		relOnce.Do(func() { close(gate) })
-		_ = j.Wait()
+		_ = waitBounded(t, s, j)
 	}
 	t.Cleanup(func() { release(); s.Close() })
 	return s, release
@@ -42,7 +42,7 @@ func TestSubmitOptionsRoundtrip(t *testing.T) {
 	s := newTestScheduler(WS, 1)
 	defer s.Close()
 	j := s.Submit(func(w *Worker) {}, WithJobPriority(Low), WithJobWeight(7))
-	if err := j.Wait(); err != nil {
+	if err := waitBounded(t, s, j); err != nil {
 		t.Fatalf("Wait = %v", err)
 	}
 	if j.Class() != Low || j.Weight() != 7 {
@@ -54,12 +54,12 @@ func TestSubmitOptionsRoundtrip(t *testing.T) {
 	// Defaults and clamping: no options → Normal/1; out-of-range values
 	// clamp rather than corrupt the injector's class index.
 	d := s.Submit(func(w *Worker) {})
-	_ = d.Wait()
+	_ = waitBounded(t, s, d)
 	if d.Class() != Normal || d.Weight() != 1 {
 		t.Fatalf("default Class/Weight = %v/%d, want Normal/1", d.Class(), d.Weight())
 	}
 	c := s.Submit(func(w *Worker) {}, WithJobPriority(JobClass(250)), WithJobWeight(-3))
-	_ = c.Wait()
+	_ = waitBounded(t, s, c)
 	if c.Class() != Low || c.Weight() != 1 {
 		t.Fatalf("clamped Class/Weight = %v/%d, want Low/1", c.Class(), c.Weight())
 	}
@@ -96,7 +96,7 @@ func TestAdmissionFailFast(t *testing.T) {
 	a := s.Submit(func(w *Worker) {})
 	b := s.Submit(func(w *Worker) {})
 	rej := s.Submit(func(w *Worker) { t.Error("rejected job ran") }, WithAdmission(AdmitFail))
-	if err := rej.Wait(); !errors.Is(err, ErrQueueFull) {
+	if err := waitBounded(t, s, rej); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("rejected Wait = %v, want ErrQueueFull", err)
 	}
 	if st := s.Stats(); st.AdmissionRejects != 1 || st.JobsEnqueuedNormal != 2 {
@@ -107,7 +107,7 @@ func TestAdmissionFailFast(t *testing.T) {
 	lo := s.Submit(func(w *Worker) {}, WithJobPriority(Low), WithAdmission(AdmitFail))
 	release()
 	for _, j := range []*Job{a, b, lo} {
-		if err := j.Wait(); err != nil {
+		if err := waitBounded(t, s, j); err != nil {
 			t.Fatalf("Wait = %v, want nil", err)
 		}
 	}
@@ -136,10 +136,10 @@ func TestAdmissionBlocksUntilSpace(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("blocked submission never unblocked after pickups freed slots")
 	}
-	if err := first.Wait(); err != nil {
+	if err := waitBounded(t, s, first); err != nil {
 		t.Fatalf("first Wait = %v", err)
 	}
-	if err := second.Wait(); err != nil {
+	if err := waitBounded(t, s, second); err != nil {
 		t.Fatalf("second Wait = %v", err)
 	}
 }
@@ -162,11 +162,11 @@ func TestAdmissionBlockedCtxCancel(t *testing.T) {
 	}
 	cancel()
 	j := <-submitted
-	if err := j.Wait(); !errors.Is(err, context.Canceled) {
+	if err := waitBounded(t, s, j); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
 	release()
-	if err := first.Wait(); err != nil {
+	if err := waitBounded(t, s, first); err != nil {
 		t.Fatalf("first Wait = %v", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestAdmissionBlockedClose(t *testing.T) {
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
 	j := <-submitted
-	if err := j.Wait(); !errors.Is(err, ErrSchedulerClosed) {
+	if err := waitBounded(t, s, j); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Wait = %v, want ErrSchedulerClosed", err)
 	}
 	// Close drains the already-queued job before the workers exit.
@@ -198,7 +198,7 @@ func TestAdmissionBlockedClose(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return after the gate lifted")
 	}
-	if err := first.Wait(); err != nil {
+	if err := waitBounded(t, s, first); err != nil {
 		t.Fatalf("first Wait = %v, want nil (queued jobs run to completion)", err)
 	}
 }
@@ -231,7 +231,7 @@ func TestClassWeightedPickupShares(t *testing.T) {
 	}
 	release()
 	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
+		if err := waitBounded(t, s, j); err != nil {
 			t.Fatalf("Wait = %v", err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestJobWeightSharesWithinClass(t *testing.T) {
 	}
 	release()
 	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
+		if err := waitBounded(t, s, j); err != nil {
 			t.Fatalf("Wait = %v", err)
 		}
 	}
@@ -314,7 +314,7 @@ func TestHighNotStarvedByLowBacklog(t *testing.T) {
 	submit(High)
 	release()
 	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
+		if err := waitBounded(t, s, j); err != nil {
 			t.Fatalf("Wait = %v", err)
 		}
 	}

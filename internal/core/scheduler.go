@@ -226,10 +226,10 @@ type Scheduler struct {
 	activeJobs atomic.Int64 //lcws:field atomic
 
 	// busy counts workers currently inside their busy phase (where they
-	// write per-worker counters without synchronization). Job.Wait
-	// spins until it reaches zero after the pool goes idle, which
-	// restores the seed's guarantee that Stats/Counters reads after a
-	// Run are exact and race-free. See quiesce.
+	// write per-worker counters without synchronization). Counter and
+	// trace readers spin until it reaches zero once the pool is idle,
+	// which keeps Stats/Counters reads after a Run exact and race-free.
+	// See quiesce.
 	busy atomic.Int64 //lcws:field atomic
 
 	jobSeq        atomic.Uint64 //lcws:field atomic — job id allocator (ids start at 1)
@@ -598,10 +598,11 @@ func (s *Scheduler) Run(root func(*Worker), opts ...SubmitOpt) {
 // once activeJobs hits zero — the longest they can lag is one capped
 // idle-backoff sleep or insurance-timer park (≤1ms). The busy
 // counter's release/acquire pair makes every counter and trace write
-// of the finished jobs visible to the caller, restoring the seed
+// of the finished jobs visible to the caller, keeping the seed
 // scheduler's "Stats after Run are exact" guarantee for the resident
-// pool. With other jobs still active, quiesce returns immediately and
-// concurrent Stats reads stay approximate, as documented.
+// pool. The readers and resetters of that state call it, not Wait, so
+// a lagging worker delays a reader rather than every job. With other
+// jobs still active it returns immediately and reads stay approximate.
 func (s *Scheduler) quiesce() {
 	for s.activeJobs.Load() == 0 && s.busy.Load() != 0 {
 		runtime.Gosched()
@@ -722,13 +723,14 @@ func (s *Scheduler) Workers() int { return len(s.set.Load().slots) }
 func (s *Scheduler) Policy() Policy { return s.opts.Policy }
 
 // Counters returns the aggregated instrumentation counters accumulated by
-// all jobs since the last ResetCounters. It is exact after Job.Wait on
-// an otherwise-idle scheduler (see quiesce) and approximate while jobs
-// are running.
-func (s *Scheduler) Counters() counters.Snapshot { return s.ctrs.Snapshot() }
+// all jobs since the last ResetCounters. It quiesces first, so it is
+// exact after Job.Wait on an otherwise-idle scheduler; it is
+// approximate while jobs are running.
+func (s *Scheduler) Counters() counters.Snapshot { s.quiesce(); return s.ctrs.Snapshot() }
 
 // WorkerCounters returns worker id's own counter snapshot.
 func (s *Scheduler) WorkerCounters(id int) counters.Snapshot {
+	s.quiesce()
 	var out counters.Snapshot
 	w := s.ctrs.Worker(id)
 	for e := 0; e < counters.NumEvents; e++ {
@@ -738,7 +740,7 @@ func (s *Scheduler) WorkerCounters(id int) counters.Snapshot {
 }
 
 // ResetCounters zeroes all instrumentation counters.
-func (s *Scheduler) ResetCounters() { s.ctrs.Reset() }
+func (s *Scheduler) ResetCounters() { s.quiesce(); s.ctrs.Reset() }
 
 // Tracing reports whether the scheduler was built with a flight
 // recorder (Options.Trace non-nil).
@@ -784,14 +786,16 @@ func (s *Scheduler) recordJobSpan(j *Job, failed bool) {
 // EvRetire that ended them) until reclamation releases the ring, at
 // which point their events leave the snapshot (each epoch flip and
 // retirement is itself recorded, as EvResize/EvRetire, on the ring of
-// the worker it happened to).
+// the worker it happened to). Like Stats it quiesces first, so after
+// Job.Wait on an otherwise-idle scheduler it holds every finished event.
 func (s *Scheduler) TraceSnapshot() trace.Trace {
+	s.quiesce()
 	set := s.set.Load()
 	t := trace.Trace{Policy: s.opts.Policy.String(), Workers: len(set.slots)}
 	if s.opts.Trace == nil {
 		return t
 	}
-	for i := range set.slots {
+	merge := func(i int) {
 		events, dropped := s.worker(i).rec.Snapshot(i)
 		// Walk this worker's events in ring order, carrying the job id
 		// forward from each job-switch marker.
@@ -808,6 +812,9 @@ func (s *Scheduler) TraceSnapshot() trace.Trace {
 			t.Latencies[l] = t.Latencies[l].Add(s.worker(i).rec.Hist(l))
 		}
 	}
+	for i := range set.slots {
+		merge(i)
+	}
 	// Slots outside the live set: retired rings that have not been
 	// reclaimed yet. The resize lock orders these reads against
 	// initSlot's plain writes on slots a concurrent grow is building
@@ -815,21 +822,8 @@ func (s *Scheduler) TraceSnapshot() trace.Trace {
 	// the loaded epoch, so no ring is merged twice).
 	s.resizeMu.Lock()
 	for i := len(set.slots); i < len(s.workers); i++ {
-		if s.worker(i).rec == nil {
-			continue // slab tail never grown into
-		}
-		events, dropped := s.worker(i).rec.Snapshot(i)
-		cur := uint64(0)
-		for k := range events {
-			if events[k].Type == trace.EvJobSwitch {
-				cur = uint64(events[k].Arg)
-			}
-			events[k].Job = cur
-		}
-		t.Events = append(t.Events, events...)
-		t.Dropped += dropped
-		for l := 0; l < trace.NumLatencies; l++ {
-			t.Latencies[l] = t.Latencies[l].Add(s.worker(i).rec.Hist(l))
+		if s.worker(i).rec != nil { // nil: slab tail never grown into
+			merge(i)
 		}
 	}
 	s.resizeMu.Unlock()

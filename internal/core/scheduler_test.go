@@ -24,29 +24,88 @@ func newTestScheduler(p Policy, workers int) *Scheduler {
 	return NewScheduler(Options{Workers: workers, Policy: p, Seed: 42})
 }
 
-// jobDeadline bounds how long submitBounded waits on one job.
+// jobDeadline bounds how long waitBounded waits on one job.
 const jobDeadline = 30 * time.Second
 
+// waitBounded waits for j at most jobDeadline and returns its error. On
+// timeout it fails the test with the pool's state dump instead of
+// hanging until the package timeout. Wait runs on its own goroutine, so
+// a Wait that never returns is caught as well as a job that never
+// settles. Call it from the test goroutine only (it uses t.Fatalf).
+func waitBounded(t *testing.T, s *Scheduler, j *Job) error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- j.Wait() }()
+	timer := time.NewTimer(jobDeadline)
+	defer timer.Stop()
+	select {
+	case err := <-errc:
+		return err
+	case <-timer.C:
+		t.Fatalf("job %d: Wait still blocked after %v:\n%s", j.id, jobDeadline, s.DumpState())
+		return nil
+	}
+}
+
 // submitBounded submits root under a cancellable context and waits for
-// the job at most jobDeadline. On timeout it fails the test with the
-// pool's state dump instead of hanging until the package timeout, and
-// cancels the job so its frames unwind at their next Checkpoint and the
-// pool is free for the tests that follow.
+// it through waitBounded. On timeout the deferred cancel unwinds the
+// job's frames at their next Checkpoint, so the pool is free for the
+// tests that follow.
 func submitBounded(t *testing.T, s *Scheduler, root func(*Worker)) error {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	j := s.Submit(root, WithJobCtx(ctx))
-	timer := time.NewTimer(jobDeadline)
-	defer timer.Stop()
+	return waitBounded(t, s, s.Submit(root, WithJobCtx(ctx)))
+}
+
+// TestWaitReturnsBeforeIdleWorkersLeave pins where the pool's
+// quiescence is paid for: Wait returns at settlement even while a
+// worker is still inside its busy phase (the held busy count stands in
+// for a thief lagging in an idle-backoff sleep), and the counter reader
+// waits for that worker instead — Stats started on another goroutine
+// does not return until the hold is released, and then reads exactly
+// the job's tasks.
+func TestWaitReturnsBeforeIdleWorkersLeave(t *testing.T) {
+	s := newTestScheduler(WS, 2)
+	defer s.Close()
+	var released atomic.Bool
+	s.busy.Add(1)
+	release := func() {
+		if released.CompareAndSwap(false, true) {
+			s.busy.Add(-1)
+		}
+	}
+	defer release()
+
+	j := s.Submit(func(w *Worker) {})
+	if err := waitBounded(t, s, j); err != nil {
+		t.Fatalf("Wait = %v", err)
+	}
+
+	type read struct {
+		st           Stats
+		afterRelease bool
+	}
+	started := make(chan struct{})
+	got := make(chan read, 1)
+	go func() {
+		close(started)
+		st := s.Stats()
+		got <- read{st, released.Load()}
+	}()
+	<-started
 	select {
-	case <-j.Done():
-		return j.Wait()
-	case <-timer.C:
-		dump := s.DumpState()
-		cancel()
-		t.Fatalf("job still running after %v:\n%s", jobDeadline, dump)
-		return nil
+	case <-got:
+		t.Fatal("Stats returned while a worker was still inside its busy phase")
+	default:
+	}
+	release()
+	r := <-got
+	if !r.afterRelease {
+		t.Fatal("Stats returned before the busy hold was released")
+	}
+	if r.st.TasksExecuted != j.Stats().Tasks {
+		t.Errorf("TasksExecuted = %d, want JobStats.Tasks = %d", r.st.TasksExecuted, j.Stats().Tasks)
 	}
 }
 

@@ -172,9 +172,11 @@ func statsFromSnapshot(sn counters.Snapshot) Stats {
 
 // Stats returns the counters — and, when tracing, the latency
 // histograms — accumulated since the scheduler's creation or the last
-// ResetStats. Exact only while no Run is in progress (the per-worker
-// counters are owner-written without synchronization).
+// ResetStats. It quiesces first (see Scheduler.quiesce), so it is exact
+// after Job.Wait on an otherwise-idle scheduler; while jobs run it is
+// approximate (per-worker counters are owner-written, unsynchronized).
 func (s *Scheduler) Stats() Stats {
+	s.quiesce()
 	st := statsFromSnapshot(s.ctrs.Snapshot())
 	st.JobsSubmitted = s.jobsSubmitted.Load()
 	st.JobsCompleted = s.jobsCompleted.Load()
@@ -209,6 +211,7 @@ func (s *Scheduler) Stats() Stats {
 // ResetStats zeroes the scheduler's counters and latency histograms
 // (the flight-recorder rings are untouched; they age out on their own).
 func (s *Scheduler) ResetStats() {
+	s.quiesce()
 	s.ctrs.Reset()
 	s.jobsSubmitted.Store(0)
 	s.jobsCompleted.Store(0)

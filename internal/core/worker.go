@@ -1019,7 +1019,8 @@ func (w *Worker) traceSignalSend(v *Worker) {
 	v.sigSendTs.Store(w.rec.SignalSend(v.id))
 }
 
-// Idle-backoff schedule: a short burst of pure spins keeps steal latency
+// Idle-backoff schedule (in-job; between jobs idlePhase parks right
+// after the spin burst): a short burst of pure spins keeps steal latency
 // minimal when work is about to appear, a window of cooperative yields
 // lets victims run on oversubscribed hosts, and beyond that the worker
 // parks in exponentially growing sleeps (capped) so a mostly-idle pool
@@ -1288,10 +1289,13 @@ const deepParkInsurance = 100 * time.Millisecond
 
 // idlePhase holds the worker between jobs. It returns true when the
 // worker must exit (scheduler closed and drained), false when work may
-// exist again (a job was submitted or is still active). The phase is
-// deliberately free of counter and trace writes: an idle executor
-// mutates no instrumentation, so Stats taken between jobs are stable
-// and the per-policy counting models see only in-job events.
+// exist again (a job was submitted or is still active). It spins
+// idleSpinIters times, then parks with no yield window: every event
+// that ends the phase wakes the pool, and yields would only take CPU
+// from submitters. The phase is deliberately free of counter and trace
+// writes: an idle executor mutates no instrumentation, so Stats taken
+// between jobs are stable and the per-policy counting models see only
+// in-job events.
 func (w *Worker) idlePhase() bool {
 	s := w.sched
 	spins := 0
@@ -1316,34 +1320,29 @@ func (w *Worker) idlePhase() bool {
 		if s.activeJobs.Load() > 0 || !s.inj.Empty() {
 			return false
 		}
-		spins++
-		switch {
-		case spins <= idleSpinIters:
-			// Spin: the next job is often right behind the last.
-		case spins <= idleSpinIters+idleYieldIters:
-			runtime.Gosched()
-		default:
-			// Park until a state change wakes the pool. Same Dekker
-			// ordering as the in-job park: the bit is set (seq-cst RMW)
-			// before the wake conditions are re-checked, and producers
-			// (Submit's inj.Push, settle, Close) publish their state
-			// change before wakeAll, so a submission cannot sleep
-			// through a fully parked pool. Unlike park, this records no
-			// counters or trace events — between-jobs idleness belongs
-			// to no job's profile.
-			w.dropWakeToken()
-			s.setParked(w.id)
-			if s.closed.Load() || s.activeJobs.Load() > 0 || !s.inj.Empty() {
-				s.clearParked(w.id)
-			} else {
-				w.sleepParked(deepParkInsurance)
-			}
-			if s.activeJobs.Load() == 0 && s.inj.Empty() && !s.closed.Load() {
-				// The park ran its full insurance window (or was woken
-				// spuriously) and the pool is still idle: sustained
-				// idleness, the elastic retire-on-idle trigger.
-				s.maybeRetireIdle()
-			}
+		if spins++; spins <= idleSpinIters {
+			continue // spin: the next job is often right behind the last
+		}
+		// Park until a state change wakes the pool. Same Dekker
+		// ordering as the in-job park: the bit is set (seq-cst RMW)
+		// before the wake conditions are re-checked, and producers
+		// (Submit's inj.Push, settle, Close) publish their state
+		// change before wakeAll, so a submission cannot sleep
+		// through a fully parked pool. Unlike park, this records no
+		// counters or trace events — between-jobs idleness belongs
+		// to no job's profile.
+		w.dropWakeToken()
+		s.setParked(w.id)
+		if s.closed.Load() || s.activeJobs.Load() > 0 || !s.inj.Empty() {
+			s.clearParked(w.id)
+		} else {
+			w.sleepParked(deepParkInsurance)
+		}
+		if s.activeJobs.Load() == 0 && s.inj.Empty() && !s.closed.Load() {
+			// The park ran its full insurance window (or was woken
+			// spuriously) and the pool is still idle: sustained
+			// idleness, the elastic retire-on-idle trigger.
+			s.maybeRetireIdle()
 		}
 	}
 }
@@ -1353,9 +1352,9 @@ func (w *Worker) idlePhase() bool {
 // here while any job is active (or its own deque holds tasks),
 // executing local work, starting queued jobs, and stealing; it leaves
 // — after draining its deque — once the pool has no active jobs. The
-// enclosing busy counter is what Job.Wait's quiesce spins on: its
-// release/acquire pair publishes this worker's counter and trace
-// writes to post-Wait readers.
+// enclosing busy counter is what the counter readers' quiesce spins
+// on: its release/acquire pair publishes this worker's counter and
+// trace writes to them.
 func (w *Worker) busyPhase() {
 	s := w.sched
 	s.busy.Add(1)

@@ -162,9 +162,16 @@ func MeasureElastic(pol lcws.Policy, idleWindow time.Duration) ElasticResult {
 	res.BaselineNs = elasticWorkload(s)
 
 	// Phase 2: back to the resident target, then a demand burst. The
-	// sampler watches the live count while the backlog drains.
+	// sampler watches the live count while the backlog drains. The
+	// pre-burst snapshot waits out the shrink's retirements, so every
+	// retirement counted from it follows the burst's demand growth.
+	wantRetired := s.Stats().WorkersRetired + ElasticMax - ElasticResident
 	must(s.SetWorkers(ElasticResident))
 	stBefore := s.Stats()
+	for end := time.Now().Add(idleWindow); stBefore.WorkersRetired < wantRetired && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+		stBefore = s.Stats()
+	}
 	stopSample := make(chan struct{})
 	peakCh := make(chan int, 1)
 	go func() {
@@ -192,8 +199,7 @@ func MeasureElastic(pol lcws.Policy, idleWindow time.Duration) ElasticResult {
 	}
 	close(stopSample)
 	res.PeakWorkers = <-peakCh
-	stBurst := s.Stats()
-	res.BurstPoolGrows = stBurst.PoolGrows - stBefore.PoolGrows
+	res.BurstPoolGrows = s.Stats().PoolGrows - stBefore.PoolGrows
 
 	// Phase 3: retire-on-idle — wait (bounded by the idle window) for
 	// the demand-grown surplus to retire back to the target.
@@ -212,14 +218,13 @@ func MeasureElastic(pol lcws.Policy, idleWindow time.Duration) ElasticResult {
 	cpu0 := processCPUNs()
 	time.Sleep(idleWindow)
 	cpu1 := processCPUNs()
-	stQuiet := s.Stats()
+	res.WorkersRetiredIdle = s.Stats().WorkersRetired - stBefore.WorkersRetired
 	if cpu0 >= 0 && cpu1 >= cpu0 {
 		res.IdleCPUNs = cpu1 - cpu0
 		res.IdleCPUFrac = float64(res.IdleCPUNs) / float64(idleWindow.Nanoseconds())
 	} else {
 		res.IdleCPUNs = -1
 	}
-	res.WorkersRetiredIdle = stQuiet.WorkersRetired - stBurst.WorkersRetired
 
 	// Phase 5: regrow to full size and re-time the workload over the
 	// recycled slots.

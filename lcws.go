@@ -26,10 +26,11 @@
 //
 // A Scheduler is a long-lived executor: its workers are spawned once
 // (lazily on first use, or eagerly via Start), stay resident parked on
-// per-worker semaphores between jobs, and exit only on Close. Run is
-// "submit and wait"; Submit enqueues a job from any goroutine and
-// returns a *Job handle to Wait on, so many goroutines can serve
-// concurrent jobs over one pool:
+// per-worker semaphores between jobs (after a short spin, with no
+// yielding that would compete with the submitters for CPU), and exit
+// only on Close. Run is "submit and wait"; Submit enqueues a job from
+// any goroutine and returns a *Job handle to Wait on, so many
+// goroutines can serve concurrent jobs over one pool:
 //
 //	s := lcws.New(lcws.WithWorkers(8))
 //	defer s.Close()
@@ -40,8 +41,11 @@
 // Jobs are isolated: a panicking task fails only its own job (Wait
 // returns a *TaskPanic-wrapped error; the pool stays healthy), and
 // jobs submitted with WithJobCtx observe context cancellation at task
-// boundaries and Poll checkpoints. See DESIGN.md §10 for the
-// executor's lifecycle state machine and cost model.
+// boundaries and Poll checkpoints. Wait returns as soon as the job
+// settles; Scheduler.Stats and Counters wait for the pool to quiesce
+// themselves, so a read after Wait on an otherwise-idle pool is exact.
+// See DESIGN.md §10 for the executor's lifecycle state machine and
+// cost model.
 //
 // # Elastic sizing
 //
