@@ -125,6 +125,39 @@ func TestFreelistBoundDonatesAndRefills(t *testing.T) {
 	}
 }
 
+// TestSpillAfterThievesEmptiedDeque replays the WS spill race
+// deterministically: the owner's push fails at the maximum capacity,
+// then thieves take every task before the spill runs. The spill finds
+// nothing, and the push must then go through instead of panicking.
+func TestSpillAfterThievesEmptiedDeque(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		s := NewScheduler(Options{Workers: 2, Policy: WS, DequeCapacity: 2, MaxDequeCapacity: 4, StealBatch: batch})
+		w, thief := s.worker(0), s.worker(1)
+		for i := 0; i < 4; i++ {
+			tk := w.newTask()
+			tk.prepareFn(func(*Worker) {})
+			w.push(tk)
+		}
+		last := w.newTask()
+		last.prepareFn(func(*Worker) {})
+		if w.dq.TryPushBottom(last, w.ctr) {
+			t.Fatalf("batch=%v: push into a full 4-slot deque succeeded", batch)
+		}
+		for stolen := 0; stolen < 4; {
+			if tk, _ := w.dq.PopTop(thief.ctr); tk != nil {
+				stolen++
+			}
+		}
+		w.spillForPush(last)
+		if got := w.ctr.Get(counters.TaskSpilled); got != 0 {
+			t.Errorf("batch=%v: TaskSpilled = %d, want 0", batch, got)
+		}
+		if got := w.popLocal(); got != last {
+			t.Errorf("batch=%v: popLocal returned %p, want the pushed task %p", batch, got, last)
+		}
+	}
+}
+
 // TestRecycleShardDoubleFreeDetected verifies the double-free guard
 // holds across the global pool: a task donated to a recycle shard still
 // carries its recycled flag, so freeing it again while it sits in the

@@ -621,8 +621,13 @@ func (w *Worker) spillForPush(t *Task) {
 	for {
 		k := w.dq.SpillOldest(w.spillBuf, w.ctr)
 		if k == 0 {
-			// A full deque always has tasks to spill; reaching this
-			// means the capacity accounting is broken.
+			// Thieves may empty a Chase-Lev deque between the failed
+			// push and the spill; then there is room. A deque still
+			// full with nothing to spill means the capacity accounting
+			// is broken.
+			if w.dq.TryPushBottom(t, w.ctr) {
+				return
+			}
 			panic("core: deque at maximum capacity but SpillOldest found nothing")
 		}
 		for i := 0; i < k; i++ {
@@ -1136,8 +1141,8 @@ func (w *Worker) dropWakeToken() {
 // in-job park and the between-jobs park of idlePhase: with this
 // worker's park bit set and the caller's re-check passed, it waits for
 // a waker's token or the timeout, whichever comes first, then clears
-// the bit.
-func (w *Worker) sleepParked(timeout time.Duration) {
+// the bit. It reports whether the timeout ended the wait.
+func (w *Worker) sleepParked(timeout time.Duration) (timedOut bool) {
 	if w.parkTimer == nil {
 		w.parkTimer = time.NewTimer(timeout)
 	} else {
@@ -1146,6 +1151,7 @@ func (w *Worker) sleepParked(timeout time.Duration) {
 	select {
 	case <-w.parkSem:
 	case <-w.parkTimer.C:
+		timedOut = true
 	}
 	if !w.parkTimer.Stop() {
 		// Timer already fired; drain its channel if the wakeup came
@@ -1156,6 +1162,7 @@ func (w *Worker) sleepParked(timeout time.Duration) {
 		}
 	}
 	w.sched.clearParked(w.id)
+	return timedOut
 }
 
 // anyPublicWork reports whether any other worker's deque (racily) holds
@@ -1333,15 +1340,19 @@ func (w *Worker) idlePhase() bool {
 		// to no job's profile.
 		w.dropWakeToken()
 		s.setParked(w.id)
+		timedOut := false
 		if s.closed.Load() || s.activeJobs.Load() > 0 || !s.inj.Empty() {
 			s.clearParked(w.id)
 		} else {
-			w.sleepParked(deepParkInsurance)
+			timedOut = w.sleepParked(deepParkInsurance)
 		}
-		if s.activeJobs.Load() == 0 && s.inj.Empty() && !s.closed.Load() {
-			// The park ran its full insurance window (or was woken
-			// spuriously) and the pool is still idle: sustained
-			// idleness, the elastic retire-on-idle trigger.
+		if timedOut && s.activeJobs.Load() == 0 && s.inj.Empty() && !s.closed.Load() {
+			// The park ran its full insurance window with no wake and
+			// the pool is still idle: sustained idleness, the elastic
+			// retire-on-idle trigger. A woken worker re-parks for a
+			// fresh window instead: workers park right after a job
+			// now, so the wakes of the job's last settlements would
+			// otherwise retire a demand-grown pool straight away.
 			s.maybeRetireIdle()
 		}
 	}

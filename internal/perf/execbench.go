@@ -23,8 +23,8 @@ import (
 // deque code, so the added cost is a lower bound on the old design's
 // true per-Run overhead — which makes the speedup gate in
 // execbench_test.go conservative. Both sides are measured in the same
-// process minutes apart and compared on load-normalized cost, so
-// machine speed cancels out of the ratio.
+// process in alternating repetitions and compared on load-normalized
+// cost, so machine speed cancels out of the ratio.
 
 // Executor benchmark dimensions. Changing them invalidates comparisons
 // across revisions.
@@ -66,52 +66,65 @@ type ExecResult struct {
 	Reps   int `json:"reps"`
 }
 
-// measureExec times rounds calls of run, reps times, and returns the
-// best (load-normalized) repetition.
-func measureExec(bench, policy string, workers, rounds, reps int, run func()) ExecResult {
+// execSide is one lifecycle under measurement: its result label and one
+// Run of the benchmark job under it.
+type execSide struct {
+	bench string
+	run   func()
+}
+
+// measureExec times rounds calls of each side's run, reps times, and
+// returns each side's best (load-normalized) repetition. The sides take
+// turns rep by rep, so their timed windows stay adjacent: a load episode
+// longer than one window then tends to hit both sides instead of only
+// the one measured while it lasted.
+func measureExec(policy string, workers, rounds, reps int, sides ...execSide) []ExecResult {
 	if rounds <= 0 {
 		rounds = ExecDefaultRounds
 	}
 	if reps <= 0 {
 		reps = DefaultReps
 	}
-	res := ExecResult{
-		Bench:   bench,
-		Policy:  policy,
-		Workers: workers,
-		Rounds:  rounds,
-		Reps:    reps,
+	out := make([]ExecResult, len(sides))
+	for i, sd := range sides {
+		out[i] = ExecResult{
+			Bench:   sd.bench,
+			Policy:  policy,
+			Workers: workers,
+			Rounds:  rounds,
+			Reps:    reps,
+		}
 	}
 	var ms runtime.MemStats
-	first := true
 	for rep := 0; rep < reps; rep++ {
-		run() // warm-up
-		refBefore := quickReference()
-		runtime.ReadMemStats(&ms)
-		mallocs := ms.Mallocs
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			run()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&ms)
-		mallocs = ms.Mallocs - mallocs
-		refAfter := quickReference()
-		ref := refBefore
-		if refAfter < ref {
-			ref = refAfter
-		}
-		ns := float64(elapsed.Nanoseconds()) / float64(rounds)
-		norm := ns / ref
-		if first || norm < res.NormPerRun {
-			first = false
-			res.NsPerRun = ns
-			res.RefNsPerOp = ref
-			res.NormPerRun = norm
-			res.AllocsPerRun = float64(mallocs) / float64(rounds)
+		for i, sd := range sides {
+			sd.run() // warm-up
+			refBefore := quickReference()
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			start := time.Now()
+			for r := 0; r < rounds; r++ {
+				sd.run()
+			}
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&ms)
+			mallocs = ms.Mallocs - mallocs
+			refAfter := quickReference()
+			ref := refBefore
+			if refAfter < ref {
+				ref = refAfter
+			}
+			ns := float64(elapsed.Nanoseconds()) / float64(rounds)
+			norm := ns / ref
+			if res := &out[i]; rep == 0 || norm < res.NormPerRun {
+				res.NsPerRun = ns
+				res.RefNsPerOp = ref
+				res.NormPerRun = norm
+				res.AllocsPerRun = float64(mallocs) / float64(rounds)
+			}
 		}
 	}
-	return res
+	return out
 }
 
 // execRoot returns the benchmark job: a ParFor of ExecJobN/ExecJobGrain
@@ -120,35 +133,30 @@ func execRoot() func(*lcws.Ctx) {
 	return func(ctx *lcws.Ctx) { lcws.ParFor(ctx, 0, ExecJobN, ExecJobGrain, noopBody) }
 }
 
-// MeasureExecResident measures the per-Run cost of the benchmark job on
-// a long-lived resident pool: workers are spawned once, park between
-// Runs, and each Run is submit + wait.
-func MeasureExecResident(pol lcws.Policy, workers, rounds, reps int) ExecResult {
+// MeasureExec measures the per-Run cost of the benchmark job under both
+// lifecycles, each on its own pool of the given size, in alternating
+// repetitions.
+//
+// Resident: a long-lived pool whose workers are spawned once and park
+// between Runs; each Run is submit + wait.
+//
+// Spawn-per-run: the same job under the pre-executor lifecycle. Every
+// Run additionally spawns P-1 thief goroutines that probe for work and
+// climb the idle sleep ladder for the duration of the computation,
+// observe the finished flag, and are joined — the goroutine churn the
+// one-shot scheduler paid per Run.
+func MeasureExec(pol lcws.Policy, workers, rounds, reps int) (resident, spawnPerRun ExecResult) {
 	if workers <= 0 {
 		workers = ExecWorkers
 	}
-	s := lcws.New(lcws.WithWorkers(workers), lcws.WithPolicy(pol))
-	defer s.Close()
-	s.Start()
 	root := execRoot()
-	return measureExec("exec-resident", pol.String(), workers, rounds, reps,
-		func() { s.Run(root) })
-}
-
-// MeasureExecSpawnPerRun measures the same job under the pre-executor
-// lifecycle: every Run additionally spawns P-1 thief goroutines that
-// probe for work and climb the idle sleep ladder for the duration of
-// the computation, observe the finished flag, and are joined — the
-// goroutine churn the one-shot scheduler paid per Run.
-func MeasureExecSpawnPerRun(pol lcws.Policy, workers, rounds, reps int) ExecResult {
-	if workers <= 0 {
-		workers = ExecWorkers
-	}
-	s := lcws.New(lcws.WithWorkers(workers), lcws.WithPolicy(pol))
-	defer s.Close()
-	s.Start()
-	root := execRoot()
-	run := func() {
+	rs := lcws.New(lcws.WithWorkers(workers), lcws.WithPolicy(pol))
+	defer rs.Close()
+	rs.Start()
+	ss := lcws.New(lcws.WithWorkers(workers), lcws.WithPolicy(pol))
+	defer ss.Close()
+	ss.Start()
+	spawn := func() {
 		var finished atomic.Bool
 		var wg sync.WaitGroup
 		for i := 1; i < workers; i++ {
@@ -169,11 +177,14 @@ func MeasureExecSpawnPerRun(pol lcws.Policy, workers, rounds, reps int) ExecResu
 				}
 			}()
 		}
-		s.Run(root)
+		ss.Run(root)
 		finished.Store(true)
 		wg.Wait()
 	}
-	return measureExec("exec-spawn", pol.String(), workers, rounds, reps, run)
+	out := measureExec(pol.String(), workers, rounds, reps,
+		execSide{"exec-resident", func() { rs.Run(root) }},
+		execSide{"exec-spawn", spawn})
+	return out[0], out[1]
 }
 
 // ExecReport is the machine-readable document written to
@@ -199,8 +210,9 @@ func NewExecReport(rounds, reps int) ExecReport {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	for _, pol := range lcws.Policies {
-		rep.Resident = append(rep.Resident, MeasureExecResident(pol, ExecWorkers, rounds, reps))
-		rep.SpawnPerRun = append(rep.SpawnPerRun, MeasureExecSpawnPerRun(pol, ExecWorkers, rounds, reps))
+		res, sp := MeasureExec(pol, ExecWorkers, rounds, reps)
+		rep.Resident = append(rep.Resident, res)
+		rep.SpawnPerRun = append(rep.SpawnPerRun, sp)
 	}
 	return rep
 }

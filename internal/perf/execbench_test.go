@@ -28,8 +28,7 @@ func TestResidentExecutorBeatsSpawnPerRun(t *testing.T) {
 		t.Skip("timing gate skipped in -short mode")
 	}
 	for _, pol := range execGatePolicies {
-		res := MeasureExecResident(pol, ExecWorkers, 0, 0)
-		sp := MeasureExecSpawnPerRun(pol, ExecWorkers, 0, 0)
+		res, sp := MeasureExec(pol, ExecWorkers, 0, 0)
 		if res.NormPerRun <= 0 || sp.NormPerRun <= 0 {
 			t.Fatalf("%s: degenerate measurement: resident %.1f, spawn %.1f",
 				pol, res.NormPerRun, sp.NormPerRun)

@@ -15,7 +15,8 @@
 // Methodology: each measurement repetition runs a warm-up Run (which also
 // warms the task freelists), then times `rounds` whole Run calls and
 // reports their mean ns/fork; the harness takes the best (minimum) of
-// `reps` repetitions. The mean keeps costs that are intrinsic per-round
+// `reps` repetitions, interleaved across the policies measured
+// together. The mean keeps costs that are intrinsic per-round
 // (e.g. the GC time a fork path that allocates per split must pay),
 // while the min-of-reps discards repetitions that lost the CPU to
 // unrelated load — on shared single-CPU containers a single estimator
@@ -96,62 +97,91 @@ func (r Result) Key() string { return r.Bench + "/" + r.Policy }
 
 func noopBody(*lcws.Ctx, int) {}
 
-// measure times rounds×Run calls reps times and fills a Result from the
-// best repetition. run must execute one Run call of the workload on s.
-func measure(s *lcws.Scheduler, bench string, rounds, reps int, run func()) Result {
+// forkBench is one benchmark × policy measurement in progress: its
+// scheduler, one Run call of its workload, and the best repetition so
+// far.
+type forkBench struct {
+	s     *lcws.Scheduler
+	run   func()
+	res   Result
+	timed bool
+}
+
+func newForkBench(s *lcws.Scheduler, bench string, rounds, reps int, run func()) *forkBench {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
 	if reps <= 0 {
 		reps = DefaultReps
 	}
-	res := Result{
+	return &forkBench{s: s, run: run, res: Result{
 		Bench:  bench,
 		Policy: s.Policy().String(),
 		Rounds: rounds,
 		Reps:   reps,
+	}}
+}
+
+// measure runs the benches' repetitions round-robin — every bench's
+// first repetition, then every bench's second, and so on — and returns
+// each bench's result from its best repetition. Round-robin spreads a
+// bench's repetitions over the whole measurement instead of one short
+// stretch of it, so a load episode of a second or two cannot cover all
+// of them.
+func measure(benches ...*forkBench) []Result {
+	out := make([]Result, len(benches))
+	for rep := 0; rep < benches[0].res.Reps; rep++ {
+		for _, b := range benches {
+			b.rep()
+		}
 	}
+	for i, b := range benches {
+		out[i] = b.res
+	}
+	return out
+}
+
+// rep times one repetition of rounds Run calls and keeps it if it is
+// the best so far.
+func (b *forkBench) rep() {
+	res := &b.res
 	var ms runtime.MemStats
-	first := true
-	for rep := 0; rep < reps; rep++ {
-		run() // warm-up: freelists, deques, code paths
-		s.ResetStats()
-		refBefore := quickReference()
-		runtime.ReadMemStats(&ms)
-		mallocs := ms.Mallocs
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			run()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&ms)
-		mallocs = ms.Mallocs - mallocs
-		refAfter := quickReference()
-		st := s.Stats()
-		forks := st.TasksPushed
-		if forks == 0 {
-			continue
-		}
-		// The faster bracket is the better estimate of the machine's
-		// clean speed around this window.
-		ref := refBefore
-		if refAfter < ref {
-			ref = refAfter
-		}
-		ns := float64(elapsed.Nanoseconds()) / float64(forks)
-		norm := ns / ref
-		if first || norm < res.NormPerFork {
-			first = false
-			res.NsPerFork = ns
-			res.RefNsPerOp = ref
-			res.NormPerFork = norm
-			res.AllocsPerFork = float64(mallocs) / float64(forks)
-			res.FencesPerFork = float64(st.Fences) / float64(forks)
-			res.CASPerFork = float64(st.CAS) / float64(forks)
-			res.Forks = forks / uint64(rounds)
-		}
+	b.run() // warm-up: freelists, deques, code paths
+	b.s.ResetStats()
+	refBefore := quickReference()
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	start := time.Now()
+	for r := 0; r < res.Rounds; r++ {
+		b.run()
 	}
-	return res
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&ms)
+	mallocs = ms.Mallocs - mallocs
+	refAfter := quickReference()
+	st := b.s.Stats()
+	forks := st.TasksPushed
+	if forks == 0 {
+		return
+	}
+	// The faster bracket is the better estimate of the machine's
+	// clean speed around this window.
+	ref := refBefore
+	if refAfter < ref {
+		ref = refAfter
+	}
+	ns := float64(elapsed.Nanoseconds()) / float64(forks)
+	norm := ns / ref
+	if !b.timed || norm < res.NormPerFork {
+		b.timed = true
+		res.NsPerFork = ns
+		res.RefNsPerOp = ref
+		res.NormPerFork = norm
+		res.AllocsPerFork = float64(mallocs) / float64(forks)
+		res.FencesPerFork = float64(st.Fences) / float64(forks)
+		res.CASPerFork = float64(st.CAS) / float64(forks)
+		res.Forks = forks / uint64(res.Rounds)
+	}
 }
 
 // quickReference is the short calibration burst bracketing each timed
@@ -159,13 +189,17 @@ func measure(s *lcws.Scheduler, bench string, rounds, reps int, run func()) Resu
 // passes, in ns per element.
 func quickReference() float64 { return MeasureReference(16, 2) }
 
-// MeasureSpawnTree measures ns/fork of the no-steal spawn tree on a
-// single-worker scheduler running pol. Zero rounds/reps select the
-// defaults.
-func MeasureSpawnTree(pol lcws.Policy, rounds, reps int) Result {
-	s := lcws.New(lcws.WithWorkers(1), lcws.WithPolicy(pol))
+// MeasureSpawnTrees measures ns/fork of the no-steal spawn tree on a
+// single-worker scheduler per policy in pols, their repetitions
+// interleaved (see measure). Zero rounds/reps select the defaults.
+func MeasureSpawnTrees(pols []lcws.Policy, rounds, reps int) []Result {
 	root := func(ctx *lcws.Ctx) { lcws.ParFor(ctx, 0, SpawnTreeN, 1, noopBody) }
-	return measure(s, "spawn-tree", rounds, reps, func() { s.Run(root) })
+	benches := make([]*forkBench, len(pols))
+	for i, pol := range pols {
+		s := lcws.New(lcws.WithWorkers(1), lcws.WithPolicy(pol))
+		benches[i] = newForkBench(s, "spawn-tree", rounds, reps, func() { s.Run(root) })
+	}
+	return measure(benches...)
 }
 
 // MeasurePForSum measures per-split overhead of a grain-512 ParFor sum
@@ -179,7 +213,7 @@ func MeasurePForSum(pol lcws.Policy, rounds, reps int) Result {
 	var acc int64
 	body := func(_ *lcws.Ctx, i int) { acc += data[i] }
 	root := func(ctx *lcws.Ctx) { lcws.ParFor(ctx, 0, PForSumN, PForSumGrain, body) }
-	return measure(s, "pfor-sum", rounds, reps, func() { s.Run(root) })
+	return measure(newForkBench(s, "pfor-sum", rounds, reps, func() { s.Run(root) }))[0]
 }
 
 // referenceData backs the calibration kernel; one allocation per
@@ -254,10 +288,7 @@ var referenceSink int64
 // MeasureAll runs both benchmarks for every policy in presentation
 // order.
 func MeasureAll(rounds, reps int) []Result {
-	var out []Result
-	for _, pol := range lcws.Policies {
-		out = append(out, MeasureSpawnTree(pol, rounds, reps))
-	}
+	out := MeasureSpawnTrees(lcws.Policies[:], rounds, reps)
 	for _, pol := range lcws.Policies {
 		out = append(out, MeasurePForSum(pol, rounds, reps))
 	}

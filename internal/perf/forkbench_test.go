@@ -8,19 +8,22 @@ import (
 
 // spawnTreeResults memoizes one spawn-tree measurement per policy so the
 // three gates below (allocations, speedup, counter ordering) don't
-// re-pay the measurement three times.
-var spawnTreeResults = map[string]Result{}
+// re-pay the measurement three times. Every policy is measured in one
+// interleaved pass (see MeasureSpawnTrees).
+var spawnTreeResults map[string]Result
 
 func spawnTree(t *testing.T, pol lcws.Policy) Result {
 	t.Helper()
-	if r, ok := spawnTreeResults[pol.String()]; ok {
-		return r
+	if spawnTreeResults == nil {
+		spawnTreeResults = map[string]Result{}
+		for _, r := range MeasureSpawnTrees(lcws.Policies[:], 0, 0) {
+			spawnTreeResults[r.Policy] = r
+		}
 	}
-	r := MeasureSpawnTree(pol, 0, 0)
+	r := spawnTreeResults[pol.String()]
 	if r.Forks == 0 {
 		t.Fatalf("%s: spawn tree executed no forks", pol)
 	}
-	spawnTreeResults[pol.String()] = r
 	return r
 }
 

@@ -60,7 +60,7 @@ func tracedPForSum(pol lcws.Policy, rounds, reps int) Result {
 	var acc int64
 	body := func(_ *lcws.Ctx, i int) { acc += data[i] }
 	root := func(ctx *lcws.Ctx) { lcws.ParFor(ctx, 0, PForSumN, PForSumGrain, body) }
-	return measure(s, "pfor-sum", rounds, reps, func() { s.Run(root) })
+	return measure(newForkBench(s, "pfor-sum", rounds, reps, func() { s.Run(root) }))[0]
 }
 
 // traceEventTotal counts every event the scheduler's recorder has
